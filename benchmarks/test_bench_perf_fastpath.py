@@ -1,6 +1,6 @@
 """CLAIM-FASTPATH — the ``repro.perf`` fast path, measured vs. the seed.
 
-Three layers, three numbers:
+Three layers, three numbers (plus the discovery traffic counts):
 
 * **locate** — repeated ``locate()`` throughput: the seed pays three
   SOAP/XML round trips per resolution; the cache serves repeats from a
@@ -13,6 +13,11 @@ Three layers, three numbers:
 * **dispatch** — coordinator decision cost per firing, compiled
   dispatch structures vs. the seed derive-per-firing path, measured on
   a fan-out coordinator (the shape where routing work concentrates).
+* **discovery traffic** (ledger only) — SOAP round trips of one
+  ``publish`` and reply bytes of one ``locate()`` miss behind a
+  registry of 5 000 services under one provider: exact counts, which
+  rise if an inquiry stops being answered from an index or a reply
+  starts carrying records nobody asked for.
 """
 
 import time
@@ -59,6 +64,7 @@ LOCATE_ROUNDS = 40          # repeated locates per service per side
 EXECUTIONS = 12
 FAN_OUT = 8                 # postprocessing rows of the microbench hub
 FIRINGS = 2_000             # notifications driven through the hub
+REGISTRY_SERVICES = 5_000   # one provider's catalogue, discovery traffic
 
 
 def _echo_service(index):
@@ -112,6 +118,35 @@ def measure_locate():
     uncached = total / _time_locates(uncached_engine, names, LOCATE_ROUNDS)
     cached = total / _time_locates(cached_engine, names, LOCATE_ROUNDS)
     return uncached, cached
+
+
+def measure_discovery_traffic():
+    """(SOAP calls of a new provider's publish, reply bytes of a miss).
+
+    The located service belongs to a provider with REGISTRY_SERVICES
+    services, the shape in which a reply carrying the provider's
+    catalogue grows without bound.
+    """
+    platform = Platform(PlatformConfig(trace=False))
+    engine = platform.discovery
+    registry = engine.registry
+    owner = registry.save_business("BigCo")
+    for index in range(REGISTRY_SERVICES):
+        record = registry.save_service(
+            owner.business_key, f"Filler{index:05d}"
+        )
+        registry.save_binding(
+            record.service_key, f"selfserv://filler/{index:05d}"
+        )
+    service = _echo_service(0)
+    platform.deployer.deploy_elementary(service, "host-0")
+    soap = engine._soap
+    calls = soap.calls_made
+    engine.publish(service.description)
+    publish_calls = soap.calls_made - calls
+    received = soap.bytes_received
+    engine.locate("Filler00000")
+    return publish_calls, soap.bytes_received - received
 
 
 def _run_travel(perf):
@@ -226,6 +261,8 @@ def test_bench_fastpath(benchmark):
         f"compiled dispatch slower than seed ({dispatch_ratio:.2f}x)"
     )
 
+    publish_calls, locate_miss_bytes = measure_discovery_traffic()
+
     rows = [
         (
             "repeated locate (locates/s)",
@@ -288,6 +325,11 @@ def test_bench_fastpath(benchmark):
             "batch_efficiency_msgs_per_flush": metric(
                 round(batched["batch_efficiency"], 2), "msgs", "higher"
             ),
+            # Exact counts (UDDI keys are fixed width): gated tightly.
+            "publish_soap_calls": metric(publish_calls, "calls", "lower"),
+            "locate_miss_soap_bytes_at_5000_services": metric(
+                locate_miss_bytes, "bytes", "lower"
+            ),
             # Wall-clock rates and their ratios swing with the machine;
             # the in-test asserts (>= 2x locate, >= 0.95x dispatch)
             # enforce the claims — recorded here for trend analysis.
@@ -314,6 +356,7 @@ def test_bench_fastpath(benchmark):
             "fan_out": FAN_OUT,
             "firings": FIRINGS,
             "batch_window_ms": 2.0,
+            "registry_services": REGISTRY_SERVICES,
         },
     )
 

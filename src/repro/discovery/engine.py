@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import DiscoveryError, SoapFault
-from repro.discovery.registry import UddiRegistry
+from repro.discovery.registry import EXACT_NAME_MATCH, UddiRegistry
 from repro.discovery.soap import SoapClient
 from repro.discovery.wsdl import (
     UrlResolver,
@@ -38,6 +38,11 @@ from repro.runtime.protocol import (
 from repro.services.description import ServiceDescription
 
 ACCESS_SCHEME = "selfserv://"
+
+#: The engine knows the full name of what it publishes, details and
+#: unpublishes, so it asks the registry for that name exactly: the reply
+#: is then an index lookup and holds only the records asked for.
+_EXACT = {"findQualifiers": [EXACT_NAME_MATCH]}
 
 
 def make_access_point(node_id: str, endpoint: str) -> str:
@@ -106,6 +111,25 @@ class SearchResult:
         return "\n".join(lines) if lines else "(no matches)"
 
 
+def _listing(
+    record: "Dict[str, Any]",
+    provider: str,
+    bindings: "List[Dict[str, Any]]",
+    operations: "List[str]",
+) -> ServiceListing:
+    """A listing from UDDI records; the first binding is the one shown."""
+    return ServiceListing(
+        service_key=record["serviceKey"],
+        name=record["name"],
+        provider=provider,
+        description=record.get("description", ""),
+        category=record.get("category", ""),
+        access_point=bindings[0]["accessPoint"] if bindings else "",
+        wsdl_url=bindings[0]["wsdlUrl"] if bindings else "",
+        operations=operations,
+    )
+
+
 class ServiceDiscoveryEngine:
     """Facade over UDDI + WSDL + runtime execution."""
 
@@ -154,6 +178,10 @@ class ServiceDiscoveryEngine:
         The service's wrapper must already be in the runtime directory —
         publication advertises a reachable access point, it does not
         deploy anything.
+
+        Costs one exact ``find_business`` plus one ``save_*`` per record
+        written (three SOAP round trips for a known provider, four for a
+        new one), whatever the registry holds.
         """
         if not self.directory.knows(description.name):
             raise DiscoveryError(
@@ -167,12 +195,11 @@ class ServiceDiscoveryEngine:
         self.resolver.publish(wsdl_url, document)
 
         provider = description.provider or "unknown-provider"
-        businesses = self._soap.call("find_business", {"name": provider})
-        exact = [
-            b for b in businesses["businesses"] if b["name"] == provider
-        ]
-        if exact:
-            business_key = exact[0]["businessKey"]
+        businesses = self._soap.call(
+            "find_business", {"name": provider, **_EXACT}
+        )["businesses"]
+        if businesses:
+            business_key = businesses[0]["businessKey"]
         else:
             created = self._soap.call("save_business", {
                 "name": provider,
@@ -186,27 +213,30 @@ class ServiceDiscoveryEngine:
             "description": description.description,
             "category": category,
         })
-        self._soap.call("save_binding", {
+        binding_record = self._soap.call("save_binding", {
             "serviceKey": service_record["serviceKey"],
             "accessPoint": access_point,
             "wsdlUrl": wsdl_url,
         })
-        listing = self._listing_for(service_record, provider)
+        # Everything a detail view would read back was just written.
+        listing = _listing(
+            service_record, provider, [binding_record],
+            document.operation_names(),
+        )
         if self.on_publish is not None:
             self.on_publish(description, category, contact)
         return listing
 
     def unpublish(self, service_name: str) -> None:
         """Remove a service's UDDI entries (keeps the WSDL page)."""
-        services = self._soap.call("find_service", {"name": service_name})
-        exact = [
-            s for s in services["services"] if s["name"] == service_name
-        ]
-        if not exact:
+        services = self._soap.call(
+            "find_service", {"name": service_name, **_EXACT}
+        )["services"]
+        if not services:
             raise DiscoveryError(
                 f"service {service_name!r} is not published"
             )
-        for record in exact:
+        for record in services:
             self._soap.call("delete_service",
                             {"serviceKey": record["serviceKey"]})
 
@@ -253,15 +283,18 @@ class ServiceDiscoveryEngine:
         return result
 
     def service_detail(self, service_name: str) -> ServiceListing:
-        """Detail view of one published service (right panel of Fig. 3)."""
-        services = self._soap.call("find_service", {"name": service_name})
-        exact = [
-            s for s in services["services"] if s["name"] == service_name
-        ]
-        if not exact:
+        """Detail view of one published service (right panel of Fig. 3).
+
+        Three SOAP round trips whose replies hold this service's records
+        only, whatever else the registry or its provider publishes.
+        """
+        services = self._soap.call(
+            "find_service", {"name": service_name, **_EXACT}
+        )["services"]
+        if not services:
             raise DiscoveryError(f"service {service_name!r} is not published")
-        record = exact[0]
-        business = self._soap.call("get_businessDetail", {
+        record = services[0]
+        business = self._soap.call("get_businessInfo", {
             "businessKey": record["businessKey"],
         })["business"]
         return self._listing_for(record, business["name"])
@@ -282,21 +315,11 @@ class ServiceDiscoveryEngine:
             "serviceKey": record["serviceKey"],
         })
         bindings = detail["bindings"]
-        access_point = bindings[0]["accessPoint"] if bindings else ""
         wsdl_url = bindings[0]["wsdlUrl"] if bindings else ""
         operations: List[str] = []
         if wsdl_url and self.resolver.exists(wsdl_url):
             operations = self.resolver.fetch(wsdl_url).operation_names()
-        return ServiceListing(
-            service_key=record["serviceKey"],
-            name=record["name"],
-            provider=provider,
-            description=record.get("description", ""),
-            category=record.get("category", ""),
-            access_point=access_point,
-            wsdl_url=wsdl_url,
-            operations=operations,
-        )
+        return _listing(record, provider, bindings, operations)
 
     # Execute flow ------------------------------------------------------------------
 

@@ -6,13 +6,18 @@ API subset the demo uses: ``save_*``, ``find_business``, ``find_service``,
 ``get_serviceDetail``, ``delete_service``.  All calls are exposed through
 a :class:`~repro.discovery.soap.SoapServer`, so every registration and
 query round-trips through XML exactly as the paper describes.
+
+``find_business`` and ``find_service`` match names as case-insensitive
+substrings unless the request carries UDDI's
+``findQualifiers: ["exactNameMatch"]``, which compares the stored name
+for equality and is answered from the name indexes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.exceptions import (
     DuplicateRegistrationError,
@@ -20,6 +25,9 @@ from repro.exceptions import (
     SoapFault,
 )
 from repro.discovery.soap import SoapServer
+
+#: The ``findQualifiers`` entry that turns name matching into equality.
+EXACT_NAME_MATCH = "exactNameMatch"
 
 _key_counter = itertools.count(1)
 
@@ -36,6 +44,11 @@ class BusinessEntity:
     name: str
     description: str = ""
     contact: str = ""
+    #: ``name`` case-folded once, for the substring inquiries.
+    folded_name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.folded_name = self.name.lower()
 
     def to_record(self) -> "Dict[str, Any]":
         return {
@@ -55,6 +68,11 @@ class BusinessService:
     name: str
     description: str = ""
     category: str = ""
+    #: ``name`` case-folded once, for the substring inquiries.
+    folded_name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.folded_name = self.name.lower()
 
     def to_record(self) -> "Dict[str, Any]":
         return {
@@ -100,13 +118,19 @@ class TModel:
         }
 
 
+def _exact_name_match(payload: "Mapping[str, Any]") -> bool:
+    return EXACT_NAME_MATCH in (payload.get("findQualifiers") or ())
+
+
 class UddiRegistry:
     """The registry proper: storage plus inquiry/publish operations.
 
     Inquiry is index-backed (``repro.perf``): inverted indexes over
-    business name, owning business and category are maintained on every
-    publish/delete, so ``find_*`` calls touch only candidate entries
-    instead of scanning the whole registry.  Every mutation bumps
+    business name, service name, owning business and category are
+    maintained on every publish/delete, so ``find_*`` calls touch only
+    candidate entries instead of scanning the whole registry; only a
+    substring match with no other criterion walks every record (see the
+    query-shape table in ``docs/PERF.md``).  Every mutation bumps
     :attr:`generation`, the invalidation signal the discovery engine's
     ``locate()`` cache checks per lookup.
     """
@@ -118,6 +142,11 @@ class UddiRegistry:
         self._tmodels: Dict[str, TModel] = {}
         # Inverted indexes (maintained by the publish API).
         self._business_key_by_name: Dict[str, str] = {}
+        #: service name -> owning business key -> service key.  A name
+        #: is unique within a business, so one entry answers both the
+        #: exact-name inquiry and the ``(business, name)`` duplicate
+        #: check; the inner dict keeps publication order.
+        self._service_keys_by_name: "Dict[str, Dict[str, str]]" = {}
         self._services_by_business: "Dict[str, Set[str]]" = {}
         self._services_by_category: "Dict[str, Set[str]]" = {}
         self._bindings_by_service: "Dict[str, List[str]]" = {}
@@ -159,11 +188,7 @@ class UddiRegistry:
     ) -> BusinessService:
         if business_key not in self._businesses:
             raise NotRegisteredError(f"unknown business {business_key!r}")
-        duplicate = any(
-            self._services[key].name == name
-            for key in self._services_by_business.get(business_key, ())
-        )
-        if duplicate:
+        if business_key in self._service_keys_by_name.get(name, ()):
             raise DuplicateRegistrationError(
                 f"business {business_key!r} already advertises a service "
                 f"named {name!r}"
@@ -176,6 +201,9 @@ class UddiRegistry:
             category=category,
         )
         self._services[service.service_key] = service
+        self._service_keys_by_name.setdefault(name, {})[business_key] = (
+            service.service_key
+        )
         self._services_by_business[business_key].add(service.service_key)
         if category:
             self._services_by_category.setdefault(category, set()).add(
@@ -218,6 +246,10 @@ class UddiRegistry:
         if service is None:
             raise NotRegisteredError(f"unknown service {service_key!r}")
         del self._services[service_key]
+        owners = self._service_keys_by_name[service.name]
+        del owners[service.business_key]
+        if not owners:
+            del self._service_keys_by_name[service.name]
         self._services_by_business.get(service.business_key, set()).discard(
             service_key
         )
@@ -237,13 +269,22 @@ class UddiRegistry:
         key = self._business_key_by_name.get(name)
         return self._businesses[key] if key is not None else None
 
-    def find_businesses(self, name_pattern: str = "") -> "List[BusinessEntity]":
-        """Case-insensitive substring match, empty pattern matches all."""
+    def find_businesses(
+        self, name_pattern: str = "", exact: bool = False
+    ) -> "List[BusinessEntity]":
+        """Case-insensitive substring match, empty pattern matches all.
+
+        With ``exact`` the name is compared for equality instead and the
+        answer comes from the name index.
+        """
+        if exact:
+            entity = self.find_business_by_name(name_pattern)
+            return [entity] if entity is not None else []
         pattern = name_pattern.lower()
         return sorted(
             (
                 e for e in self._businesses.values()
-                if pattern in e.name.lower()
+                if pattern in e.folded_name
             ),
             key=lambda e: e.name,
         )
@@ -253,13 +294,29 @@ class UddiRegistry:
         name_pattern: str = "",
         business_key: str = "",
         category: str = "",
+        exact: bool = False,
     ) -> "List[BusinessService]":
         """Find services, narrowing through the smallest inverted index.
 
         ``business_key`` and ``category`` are exact attributes with
         indexes; ``name_pattern`` is a substring match applied to the
         candidates (only a full scan when it is the sole criterion).
+        With ``exact`` the name is compared for equality instead: the
+        candidates come from the name index, whatever the registry holds.
         """
+        if exact:
+            owners = self._service_keys_by_name.get(name_pattern, {})
+            if not business_key:
+                keys = list(owners.values())
+            elif business_key in owners:
+                keys = [owners[business_key]]
+            else:
+                keys = []
+            found = [self._services[key] for key in keys]
+            return [
+                service for service in found
+                if not category or service.category == category
+            ]
         candidates: "Optional[Set[str]]" = None
         if business_key:
             candidates = self._services_by_business.get(business_key, set())
@@ -276,7 +333,7 @@ class UddiRegistry:
         pattern = name_pattern.lower()
         found = [
             service for service in pool
-            if not pattern or pattern in service.name.lower()
+            if not pattern or pattern in service.folded_name
         ]
         return sorted(found, key=lambda s: s.name)
 
@@ -348,7 +405,9 @@ class UddiRegistry:
         server.expose("find_business", guard(lambda p: {
             "businesses": [
                 e.to_record()
-                for e in self.find_businesses(p.get("name", ""))
+                for e in self.find_businesses(
+                    p.get("name", ""), exact=_exact_name_match(p),
+                )
             ],
         }))
         server.expose("find_service", guard(lambda p: {
@@ -356,7 +415,7 @@ class UddiRegistry:
                 s.to_record()
                 for s in self.find_services(
                     p.get("name", ""), p.get("businessKey", ""),
-                    p.get("category", ""),
+                    p.get("category", ""), exact=_exact_name_match(p),
                 )
             ],
         }))
@@ -365,6 +424,11 @@ class UddiRegistry:
             "bindings": [
                 b.to_record() for b in self.bindings_of(p["serviceKey"])
             ],
+        }))
+        # The business record alone: unlike get_businessDetail, the reply
+        # does not carry (or grow with) the provider's catalogue.
+        server.expose("get_businessInfo", guard(lambda p: {
+            "business": self.get_business(p["businessKey"]).to_record(),
         }))
         server.expose("get_businessDetail", guard(lambda p: {
             "business": self.get_business(p["businessKey"]).to_record(),

@@ -158,12 +158,19 @@ class SoapServer:
         self.name = name
         self._handlers: Dict[str, SoapHandler] = {}
         self.calls_served = 0
+        #: Response bytes returned, faults included.
+        self.bytes_served = 0
 
     def expose(self, operation: str, handler: SoapHandler) -> None:
         self._handlers[operation] = handler
 
     def handle(self, request_bytes: bytes) -> bytes:
         """Process one encoded request; always returns an encoded response."""
+        response_bytes = self._respond(request_bytes)
+        self.bytes_served += len(response_bytes)
+        return response_bytes
+
+    def _respond(self, request_bytes: bytes) -> bytes:
         try:
             request = SoapEnvelope.from_bytes(request_bytes)
             handler = self._handlers.get(request.operation)
@@ -201,6 +208,9 @@ class SoapClient:
     def __init__(self, server: SoapServer) -> None:
         self._server = server
         self.calls_made = 0
+        #: Encoded request / response sizes, summed over every call.
+        self.bytes_sent = 0
+        self.bytes_received = 0
 
     def call(
         self, operation: str, payload: Optional[Mapping[str, Any]] = None
@@ -209,7 +219,10 @@ class SoapClient:
         self.calls_made += 1
         request = SoapEnvelope(operation=operation,
                                payload=dict(payload or {}))
-        response_bytes = self._server.handle(request.to_bytes())
+        request_bytes = request.to_bytes()
+        self.bytes_sent += len(request_bytes)
+        response_bytes = self._server.handle(request_bytes)
+        self.bytes_received += len(response_bytes)
         response = SoapEnvelope.from_bytes(response_bytes)
         if response.is_fault:
             raise SoapFault(response.faultcode, response.faultstring)

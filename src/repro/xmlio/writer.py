@@ -6,6 +6,9 @@ import xml.etree.ElementTree as ET
 from typing import Any, Mapping, Optional
 
 
+_XML_DECLARATION = b"<?xml version='1.0' encoding='utf-8'?>\n"
+
+
 def _stringify(value: Any) -> str:
     """Render an attribute value the way our readers expect to parse it."""
     if isinstance(value, bool):
@@ -80,4 +83,8 @@ def to_bytes(node: ET.Element) -> bytes:
     This is the on-the-wire form carried by the transport layer, matching
     the original platform's "XML documents over sockets" design.
     """
-    return ET.tostring(node, encoding="utf-8", xml_declaration=True)
+    # Byte-for-byte what ET.tostring(node, encoding="utf-8",
+    # xml_declaration=True) returns, without its per-call TextIOWrapper.
+    return _XML_DECLARATION + ET.tostring(node, encoding="unicode").encode(
+        "utf-8", "xmlcharrefreplace"
+    )

@@ -239,3 +239,89 @@ class TestLocateErrorPaths:
                 {"destination": "sydney", "days": 2},
                 timeout_ms=200.0,
             )
+
+
+class TestFlatCost:
+    """What the engine asks of UDDI costs the same in any registry.
+
+    Exact SOAP call and reply-byte counts of each engine call, compared
+    between a registry of 50 services and one of 5 000 (UDDI keys are
+    fixed width, so equal records encode to equal sizes).
+    """
+
+    SHARED_PROVIDER = "unknown-provider"  # publish()'s fallback owner
+
+    @staticmethod
+    def _costs(filler_services, one_provider):
+        """{engine call: (SOAP calls, reply bytes)} on a filled registry."""
+        from repro.manager import ServiceManager
+        from repro.net.simnet import SimTransport
+        from repro.services.description import (
+            OperationSpec, ServiceDescription,
+        )
+        from repro.services.elementary import ElementaryService
+
+        manager = ServiceManager(SimTransport())
+        engine = manager.discovery
+        registry = engine.registry
+        shared = registry.save_business(TestFlatCost.SHARED_PROVIDER)
+        for index in range(filler_services):
+            owner = shared if one_provider else registry.save_business(
+                f"Provider{index:05d}"
+            )
+            filler = registry.save_service(
+                owner.business_key, f"Filler{index:05d}Svc"
+            )
+            registry.save_binding(
+                filler.service_key, f"selfserv://filler/{index:05d}"
+            )
+        description = ServiceDescription(
+            "Probe", provider="" if one_provider else "ProbeCo"
+        )
+        description.add_operation(OperationSpec("op"))
+        service = ElementaryService(description)
+        service.bind("op", lambda inputs: {})
+        manager.deployer.deploy_elementary(service, "probe-host")
+
+        soap = engine._soap
+        costs = {}
+
+        def measured(label, call):
+            calls, received = soap.calls_made, soap.bytes_received
+            result = call()
+            costs[label] = (
+                soap.calls_made - calls, soap.bytes_received - received
+            )
+            return result
+
+        listing = measured("publish", lambda: engine.publish(description))
+        measured("locate_miss", lambda: engine.locate("Probe"))
+        detail = measured(
+            "service_detail", lambda: engine.service_detail("Probe")
+        )
+        measured("unpublish", lambda: engine.unpublish("Probe"))
+        assert engine.locate_cache.stats.misses == 1
+        assert listing == detail
+        return costs
+
+    @pytest.mark.parametrize("one_provider", [False, True])
+    def test_costs_equal_at_50_and_5000_services(self, one_provider):
+        small = self._costs(50, one_provider)
+        large = self._costs(5_000, one_provider)
+        assert small == large
+        # find, (save_business,) save_service, save_binding: the listing
+        # is built from those replies, not read back.
+        assert small["publish"][0] == (3 if one_provider else 4)
+        assert small["locate_miss"][0] == 3
+        assert small["service_detail"][0] == 3
+        assert small["unpublish"][0] == 2
+        assert all(received > 0 for _, received in small.values())
+
+    def test_publish_returns_the_detail_view(self, published):
+        manager, deployed = published
+        engine = manager.discovery
+        composite = deployed.scenario.composite.description
+        engine.unpublish(composite.name)
+        listing = engine.publish(composite, category="composite")
+        assert listing.operations and listing.wsdl_url
+        assert listing == engine.service_detail(composite.name)

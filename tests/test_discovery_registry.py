@@ -1,6 +1,7 @@
 """UDDI registry tests (direct API and SOAP exposure)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import (
     DuplicateRegistrationError,
@@ -157,3 +158,186 @@ class TestSoapExposure:
                     {"serviceKey": service["serviceKey"]})
         found = client.call("find_service", {"name": "S"})
         assert found["services"] == []
+
+
+# --- indexes against brute force -----------------------------------------
+
+# Few names, some differing only in case, some containing others: the
+# same name lands under two businesses, gets deleted and is saved again.
+_NAMES = ["Flights", "flights", "Flight", "Cars", ""]
+_CATEGORIES = ["", "travel", "logistics"]
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("save_business"), st.sampled_from(_NAMES)),
+        st.tuples(
+            st.just("save_service"), st.integers(0, 3),
+            st.sampled_from(_NAMES), st.sampled_from(_CATEGORIES),
+        ),
+        st.tuples(st.just("save_binding"), st.integers(0, 7)),
+        st.tuples(st.just("delete_service"), st.integers(0, 7)),
+    ),
+    max_size=30,
+)
+
+
+def _service_key(service):
+    return service.service_key
+
+
+def _pick(items, index):
+    return items[index % len(items)] if items else None
+
+
+def _assert_indexes_match_records(registry):
+    """Every index equals what a scan of the stored records gives."""
+    businesses = list(registry._businesses.values())
+    services = list(registry._services.values())
+    bindings = list(registry._bindings.values())
+    assert registry._business_key_by_name == {
+        b.name: b.business_key for b in businesses
+    }
+    by_name = {}
+    for s in services:
+        by_name.setdefault(s.name, {})[s.business_key] = s.service_key
+    assert registry._service_keys_by_name == by_name
+    assert registry._services_by_business == {
+        b.business_key: {
+            s.service_key for s in services
+            if s.business_key == b.business_key
+        }
+        for b in businesses
+    }
+    by_category = {}
+    for s in services:
+        if s.category:
+            by_category.setdefault(s.category, set()).add(s.service_key)
+    assert registry._services_by_category == by_category
+    assert registry._bindings_by_service == {
+        s.service_key: [
+            b.binding_key for b in bindings if b.service_key == s.service_key
+        ]
+        for s in services
+    }
+    for record in businesses + services:
+        assert record.folded_name == record.name.lower()
+
+
+def _assert_exact_is_filtered_substring(registry):
+    business_keys = [""] + list(registry._businesses)
+    for name in _NAMES + ["Absent"]:
+        assert registry.find_businesses(name, exact=True) == [
+            b for b in registry.find_businesses(name) if b.name == name
+        ]
+        for business_key in business_keys:
+            for category in _CATEGORIES:
+                exact = registry.find_services(
+                    name, business_key, category, exact=True
+                )
+                scanned = [
+                    s for s in registry.find_services(
+                        name, business_key, category
+                    )
+                    if s.name == name
+                ]
+                # Equal names tie in the substring sort, so order among
+                # them is only defined when the name is the sole criterion.
+                assert sorted(exact, key=_service_key) == sorted(
+                    scanned, key=_service_key
+                )
+                if not business_key and not category:
+                    assert exact == scanned
+
+
+class TestIndexConsistency:
+    @settings(max_examples=150, deadline=None)
+    @given(_operations)
+    def test_indexes_equal_brute_force_after_every_step(self, operations):
+        registry = UddiRegistry()
+        for operation in operations:
+            verb, args = operation[0], operation[1:]
+            businesses = list(registry._businesses.values())
+            services = list(registry._services.values())
+            if verb == "save_business":
+                (name,) = args
+                known = any(b.name == name for b in businesses)
+                try:
+                    registry.save_business(name)
+                except DuplicateRegistrationError:
+                    assert known
+                else:
+                    assert not known
+            elif verb == "save_service":
+                business = _pick(businesses, args[0])
+                if business is None:
+                    continue
+                duplicate = any(
+                    s.business_key == business.business_key
+                    and s.name == args[1]
+                    for s in services
+                )
+                try:
+                    registry.save_service(
+                        business.business_key, args[1], category=args[2]
+                    )
+                except DuplicateRegistrationError:
+                    assert duplicate
+                else:
+                    assert not duplicate
+            elif services:
+                service = _pick(services, args[0])
+                if verb == "save_binding":
+                    registry.save_binding(
+                        service.service_key, "selfserv://h/e"
+                    )
+                else:
+                    registry.delete_service(service.service_key)
+            _assert_indexes_match_records(registry)
+            _assert_exact_is_filtered_substring(registry)
+
+    def test_exact_qualifier_over_soap(self):
+        registry = UddiRegistry()
+        client = SoapClient(registry.as_soap_server())
+        for name in ("Air", "AirAsia"):
+            business = client.call("save_business", {"name": name})
+            client.call("save_service", {
+                "businessKey": business["businessKey"], "name": name + "Svc",
+            })
+        exact = {"findQualifiers": ["exactNameMatch"]}
+
+        def names(verb, field, payload):
+            return [r["name"] for r in client.call(verb, payload)[field]]
+
+        assert names("find_business", "businesses", {"name": "Air"}) == [
+            "Air", "AirAsia",
+        ]
+        assert names(
+            "find_business", "businesses", {"name": "Air", **exact}
+        ) == ["Air"]
+        assert names("find_business", "businesses",
+                     {"name": "air", **exact}) == []
+        assert names("find_service", "services", {"name": "AirSvc"}) == [
+            "AirSvc",
+        ]
+        assert names("find_service", "services", {"name": "Svc"}) == [
+            "AirAsiaSvc", "AirSvc",
+        ]
+        assert names(
+            "find_service", "services", {"name": "Svc", **exact}
+        ) == []
+        assert names(
+            "find_service", "services", {"name": "AirSvc", **exact}
+        ) == ["AirSvc"]
+
+    def test_business_info_is_the_record_without_the_catalogue(self):
+        registry = UddiRegistry()
+        client = SoapClient(registry.as_soap_server())
+        business = client.call("save_business", {"name": "Co"})
+        client.call("save_service", {
+            "businessKey": business["businessKey"], "name": "S",
+        })
+        detail = client.call("get_businessDetail", business)
+        assert client.call("get_businessInfo", business) == {
+            "business": detail["business"],
+        }
+        with pytest.raises(SoapFault):
+            client.call("get_businessInfo", {"businessKey": "uddi:none"})

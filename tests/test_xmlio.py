@@ -1,6 +1,9 @@
 """XML infrastructure tests."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import XmlError
 from repro.xmlio import (
@@ -20,6 +23,36 @@ from repro.xmlio import (
     to_bytes,
     to_string,
 )
+
+
+# Text with everything the writer must escape or encode: markup
+# characters, quotes, newlines and tabs (escaped in attributes only),
+# non-ASCII, astral code points, and lone surrogates (which UTF-8 cannot
+# encode, so the stdlib falls back to a character reference).
+_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("<>&\"' \n\t\r"),
+        st.characters(min_codepoint=0x20, max_codepoint=0x2FFF),
+        st.characters(min_codepoint=0x1F300, max_codepoint=0x1F64F),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    ),
+    max_size=12,
+)
+_names = st.sampled_from(["a", "b", "soapenv:Body", "value", "état"])
+
+
+@st.composite
+def _trees(draw, depth=3):
+    node = ET.Element(draw(_names))
+    for name in draw(st.lists(_names, max_size=3, unique=True)):
+        node.set(name, draw(_text))
+    node.text = draw(st.none() | _text)  # None and no children: <a />
+    if depth:
+        for _ in range(draw(st.integers(0, 3))):
+            sub = draw(_trees(depth - 1))
+            sub.tail = draw(st.none() | _text)
+            node.append(sub)
+    return node
 
 
 class TestWriting:
@@ -52,6 +85,14 @@ class TestWriting:
     def test_to_bytes_has_declaration(self):
         data = to_bytes(element("doc"))
         assert data.startswith(b"<?xml")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_trees())
+    def test_to_bytes_is_the_stdlib_utf8_rendering(self, node):
+        """``to_bytes`` skips the stdlib's stream wrapper, not its bytes."""
+        assert to_bytes(node) == ET.tostring(
+            node, encoding="utf-8", xml_declaration=True
+        )
 
     def test_pretty_xml_is_indented(self):
         node = element("a")
