@@ -21,8 +21,8 @@ BASELINES_DIR = os.path.join(BENCH_DIR, "baselines")
 def bench_modules() -> "List[str]":
     """The benchmark manifest: every bench module, repo-root-relative.
 
-    CI's ``benchmark-smoke`` and ``bench-gate`` jobs and
-    ``tools/check_bench.py`` all discover benchmark modules through
+    CI's ``bench-gate`` job and ``tools/check_bench.py`` both
+    discover benchmark modules through
     this one function instead of ad-hoc ``-k`` expressions or file
     lists, so a newly added ``test_bench_*.py`` cannot be silently
     skipped by any of them.

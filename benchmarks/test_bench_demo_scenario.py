@@ -11,7 +11,7 @@ one host.
 
 import pytest
 
-from repro import ServiceManager, SimTransport
+from repro import Platform, PlatformConfig, SimTransport
 from repro.baselines.central import deploy_central
 from repro.demo.travel import build_travel_composite, deploy_travel_scenario
 
@@ -26,36 +26,36 @@ def args_for(destination):
 
 
 @pytest.fixture(scope="module")
-def platform():
+def travel():
     transport = SimTransport()
-    manager = ServiceManager(transport)
-    deployed = deploy_travel_scenario(manager.deployer)
+    platform = Platform(PlatformConfig(trace=False), transport=transport)
+    deployed = deploy_travel_scenario(platform.deployer)
     central = deploy_central(
         build_travel_composite("TravelCentral"), "central-host",
-        transport, manager.directory,
+        transport, platform.directory,
     )
-    client = manager.client("bench", "bench-host")
-    return manager, deployed, central, client
+    client = platform.session("bench", "bench-host").client
+    return platform, deployed, central, client
 
 
-def test_bench_demo_scenario_paths(benchmark, platform):
-    manager, deployed, central, client = platform
+def test_bench_demo_scenario_paths(benchmark, travel):
+    platform, deployed, central, client = travel
     rows = []
     measured = {}
     for destination in DESTINATIONS:
-        manager.transport.stats.reset()
+        platform.transport.stats.reset()
         result = client.execute(*deployed.address, "arrangeTrip",
                                 args_for(destination))
         assert result.ok, destination
-        p2p_msgs = manager.transport.stats.sent_total
-        p2p_remote = manager.transport.stats.remote_total
+        p2p_msgs = platform.transport.stats.sent_total
+        p2p_remote = platform.transport.stats.remote_total
         record = deployed.deployment.wrapper.records()[-1]
 
-        manager.transport.stats.reset()
+        platform.transport.stats.reset()
         central_result = client.execute(*central.address, "arrangeTrip",
                                         args_for(destination))
         assert central_result.ok, destination
-        central_msgs = manager.transport.stats.sent_total
+        central_msgs = platform.transport.stats.sent_total
         central_record = central.orchestrator.records()[-1]
 
         measured[destination] = {
@@ -98,9 +98,9 @@ def test_bench_demo_scenario_paths(benchmark, platform):
     )
 
 
-def test_bench_demo_scenario_throughput(benchmark, platform):
+def test_bench_demo_scenario_throughput(benchmark, travel):
     """Sustained bookings through the platform (mixed destinations)."""
-    _manager, deployed, _central, client = platform
+    _platform, deployed, _central, client = travel
     node, endpoint = deployed.address
 
     def burst_of_bookings():

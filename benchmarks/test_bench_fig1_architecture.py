@@ -9,7 +9,7 @@ assertions check the architecture is complete (every box of the figure
 is populated).
 """
 
-from repro import ServiceManager, SimTransport
+from repro import Platform, PlatformConfig, SimTransport
 from repro.demo.travel import build_travel_scenario, deploy_travel_scenario
 
 from _utils import write_result
@@ -18,23 +18,23 @@ from _utils import write_result
 def bring_up_platform():
     """Stand up the whole Figure-1 architecture from scratch."""
     transport = SimTransport()
-    manager = ServiceManager(transport)
-    deployed = deploy_travel_scenario(manager.deployer)
+    platform = Platform(PlatformConfig(trace=False), transport=transport)
+    deployed = deploy_travel_scenario(platform.deployer)
     for service in deployed.scenario.all_services():
-        manager.discovery.publish(service.description, category="travel")
-    manager.discovery.publish(
+        platform.discovery.publish(service.description, category="travel")
+    platform.discovery.publish(
         deployed.scenario.community.description, category="travel",
     )
-    manager.discovery.publish(
+    platform.discovery.publish(
         deployed.scenario.composite.description, category="composite",
     )
-    return manager, deployed
+    return platform, deployed
 
 
 def test_bench_fig1_platform_bring_up(benchmark):
-    manager, deployed = benchmark(bring_up_platform)
+    platform, deployed = benchmark(bring_up_platform)
 
-    stats = manager.discovery.registry.statistics()
+    stats = platform.discovery.registry.statistics()
     scenario = deployed.scenario
     # Every box of Figure 1 is populated:
     assert stats["businesses"] >= 9          # provider organisations

@@ -8,36 +8,36 @@ travel platform.
 
 import pytest
 
-from repro import ServiceManager, SimTransport
+from repro import Platform, PlatformConfig, SimTransport
 from repro.demo.travel import deploy_travel_scenario
 
 from _utils import write_result
 
 
 @pytest.fixture(scope="module")
-def platform():
+def travel():
     transport = SimTransport()
-    manager = ServiceManager(transport)
-    deployed = deploy_travel_scenario(manager.deployer)
+    platform = Platform(PlatformConfig(trace=False), transport=transport)
+    deployed = deploy_travel_scenario(platform.deployer)
     for service in deployed.scenario.all_services():
-        manager.discovery.publish(service.description, category="travel")
-    manager.discovery.publish(
+        platform.discovery.publish(service.description, category="travel")
+    platform.discovery.publish(
         deployed.scenario.community.description, category="travel",
     )
-    manager.discovery.publish(
+    platform.discovery.publish(
         deployed.scenario.composite.description, category="composite",
     )
-    client = manager.client("enduser", "end-host")
-    return manager, deployed, client
+    client = platform.session("enduser", "end-host").client
+    return platform, deployed, client
 
 
-def test_bench_fig3_search(benchmark, platform):
-    manager, _deployed, _client = platform
+def test_bench_fig3_search(benchmark, travel):
+    platform, _deployed, _client = travel
 
     def search_three_ways():
-        by_name = manager.discovery.search(service_name="flight")
-        by_provider = manager.discovery.search(provider="AusAir")
-        by_operation = manager.discovery.search(
+        by_name = platform.discovery.search(service_name="flight")
+        by_provider = platform.discovery.search(provider="AusAir")
+        by_operation = platform.discovery.search(
             operation="bookAccommodation"
         )
         return by_name, by_provider, by_operation
@@ -50,11 +50,11 @@ def test_bench_fig3_search(benchmark, platform):
     assert len(by_operation.listings) == 4  # community + 3 members
 
 
-def test_bench_fig3_locate_and_execute(benchmark, platform):
-    manager, _deployed, client = platform
+def test_bench_fig3_locate_and_execute(benchmark, travel):
+    platform, _deployed, client = travel
 
     def locate_and_execute():
-        return manager.discovery.execute(
+        return platform.discovery.execute(
             client, "TravelArrangement", "arrangeTrip",
             {"customer": "Bench", "destination": "sydney",
              "departure_date": "d1", "return_date": "d2"},
@@ -64,7 +64,7 @@ def test_bench_fig3_locate_and_execute(benchmark, platform):
     assert result.ok
     assert result.outputs["flight_ref"].startswith("DFB-")
 
-    listing = manager.discovery.service_detail("TravelArrangement")
+    listing = platform.discovery.service_detail("TravelArrangement")
     rows = [
         ("search('flight') matches", 2),
         ("search(provider='AusAir') matches", 1),

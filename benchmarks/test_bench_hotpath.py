@@ -52,7 +52,6 @@ from repro.runtime.directory import ServiceDirectory
 from repro.runtime.protocol import (
     MessageKinds,
     coordinator_endpoint,
-    notify_body,
     wrapper_endpoint,
 )
 from repro.statecharts.flatten import NodeKind
@@ -236,7 +235,8 @@ def _build_hub(zero_copy):
         source_endpoint=coordinator_endpoint("c", "op", "src"),
         target="h",
         target_endpoint=coordinator.endpoint_name,
-        body=notify_body("x", "in", "src", {}),
+        body=Notify(execution_id="x", edge_id="in",
+                    from_node="src").to_body(),
     )
     return transport, coordinator, notify, sinks
 

@@ -5,7 +5,7 @@ substrate: inbound messages now pass decode (typed envelope, unknown
 fields rejected) -> middleware chain -> verb-table dispatch before the
 handler runs.  That rigour must not tax the hot path, so this benchmark
 drives notifications through one decision-heavy FORK coordinator and
-compares four paths:
+compares three paths:
 
 * **handler-direct** — a pre-decoded envelope handed straight to the
   coordinator's handler: the PR 3 fast-path cost with zero kernel
@@ -16,9 +16,6 @@ compares four paths:
 * **kernel + counters** — the default platform configuration (the
   ``KernelCounters`` perf tap installed): the observability tax,
   reported separately because it is a feature, not dispatch overhead.
-* **kernel, seed dispatch** — the pipeline with the PR 3 compiled plan
-  disabled: shows the deploy-time dispatch strategy is preserved under
-  the kernel, not subsumed by it.
 
 Claim: kernel-dispatch firing throughput within 10% of the fast path.
 """
@@ -42,7 +39,6 @@ from repro.runtime.directory import ServiceDirectory
 from repro.runtime.protocol import (
     MessageKinds,
     coordinator_endpoint,
-    notify_body,
     wrapper_endpoint,
 )
 from repro.statecharts.flatten import NodeKind
@@ -83,7 +79,7 @@ def _hub_table():
     )
 
 
-def _build_hub(compiled=True, counters=True):
+def _build_hub(counters=True):
     table = _hub_table()
     transport = SimTransport()
     transport.add_node("h")
@@ -103,7 +99,7 @@ def _build_hub(compiled=True, counters=True):
         transport=transport,
         directory=ServiceDirectory(),
         wrapper_address=("h", wrapper_endpoint("w")),
-        dispatch=compile_dispatch(table, "c", "op") if compiled else None,
+        dispatch=compile_dispatch(table, "c", "op"),
         kernel=ActorKernel(transport, counters=counters),
     )
     coordinator.start()
@@ -113,14 +109,15 @@ def _build_hub(compiled=True, counters=True):
         source_endpoint=coordinator_endpoint("c", "op", "src"),
         target="h",
         target_endpoint=coordinator.endpoint_name,
-        body=notify_body("x", "in", "src", {}),
+        body=Notify(execution_id="x", edge_id="in",
+                    from_node="src").to_body(),
     )
     return transport, coordinator, notify
 
 
-def _time_kernel_path(compiled, counters=False):
+def _time_kernel_path(counters=False):
     """Seconds for FIRINGS notifications through the mailbox pipeline."""
-    transport, coordinator, notify = _build_hub(compiled, counters)
+    transport, coordinator, notify = _build_hub(counters)
     started = time.perf_counter()
     for _ in range(FIRINGS):
         coordinator.on_message(notify)
@@ -135,8 +132,7 @@ def _time_handler_direct():
     empty chain, so sends pay no hooks either), no verb-table lookup —
     only the firing itself.
     """
-    transport, coordinator, notify = _build_hub(compiled=True,
-                                                counters=False)
+    transport, coordinator, notify = _build_hub(counters=False)
     envelope = Notify.from_body(notify.body)
     handler = coordinator._on_notify
     started = time.perf_counter()
@@ -164,16 +160,14 @@ def _time_codec():
 def test_bench_kernel_dispatch(benchmark):
     # Interleave the paths round-robin so slow drift in machine load
     # biases none of them; best-of per path as usual.
-    handler_times, kernel_times, counted_times, seed_times = [], [], [], []
+    handler_times, kernel_times, counted_times = [], [], []
     for _ in range(ROUNDS):
         handler_times.append(_time_handler_direct())
-        kernel_times.append(_time_kernel_path(True))
-        counted_times.append(_time_kernel_path(True, counters=True))
-        seed_times.append(_time_kernel_path(False))
+        kernel_times.append(_time_kernel_path())
+        counted_times.append(_time_kernel_path(counters=True))
     handler = min(handler_times) / FIRINGS
     kernel = min(kernel_times) / FIRINGS
     counted = min(counted_times) / FIRINGS
-    seed = min(seed_times) / FIRINGS
 
     overhead = kernel / handler
     assert overhead <= MAX_OVERHEAD, (
@@ -184,12 +178,6 @@ def test_bench_kernel_dispatch(benchmark):
         f"default counters middleware {counted / handler:.2f}x the fast "
         f"path (sanity bound: <= {MAX_COUNTERS_OVERHEAD:.2f}x)"
     )
-    # The PR 3 deploy-time dispatch strategy must survive under the
-    # kernel: compiled plans keep beating (or matching) derive-per-firing.
-    assert seed / kernel >= 0.95, (
-        f"compiled dispatch slower than seed under the kernel "
-        f"({seed / kernel:.2f}x)"
-    )
 
     encode_us, decode_us = _time_codec()
 
@@ -199,8 +187,6 @@ def test_bench_kernel_dispatch(benchmark):
          f"{overhead:.2f}x"),
         ("firing, kernel + counters (us)", f"{counted * 1e6:.1f}",
          f"{counted / handler:.2f}x"),
-        ("firing, kernel + seed dispatch (us)", f"{seed * 1e6:.1f}",
-         f"{seed / handler:.2f}x"),
         ("notify encode to_body (us)", f"{encode_us:.2f}", "-"),
         ("notify decode from_body (us)", f"{decode_us:.2f}", "-"),
     ]
@@ -221,9 +207,7 @@ def test_bench_kernel_dispatch(benchmark):
             "{bound:.0%} of handler-direct.  kernel + counters adds the "
             "default KernelCounters perf tap (one locked dict increment "
             "per handled/sent message) — an optional feature, bounded "
-            "at {cbound:.0%}.  seed row: the compiled-dispatch strategy "
-            "is preserved as a kernel-level dispatch strategy.  Codec "
-            "rows: {codec} encode/decode ops."
+            "at {cbound:.0%}.  Codec rows: {codec} encode/decode ops."
         ).format(firings=FIRINGS, fan=FAN_OUT, rounds=ROUNDS,
                  bound=MAX_OVERHEAD - 1.0,
                  cbound=MAX_COUNTERS_OVERHEAD - 1.0, codec=CODEC_OPS),
@@ -239,11 +223,7 @@ def test_bench_kernel_dispatch(benchmark):
                 round(counted / handler, 3), "x", "lower"
             ),
             # Wall-clock microseconds move with the machine: recorded
-            # for trend analysis, never gated.  The seed ratio is noisy
-            # (two ~60us paths); its floor is asserted in-test.
-            "seed_dispatch_ratio_x": metric(
-                round(seed / kernel, 3), "x", "info"
-            ),
+            # for trend analysis, never gated.
             "firing_handler_direct_us": metric(
                 round(handler * 1e6, 2), "us", "info"
             ),
@@ -265,7 +245,7 @@ def test_bench_kernel_dispatch(benchmark):
     )
 
     # pytest-benchmark unit: one kernel-path firing on a warm hub.
-    transport, coordinator, notify = _build_hub(compiled=True)
+    transport, coordinator, notify = _build_hub()
 
     def one_firing():
         coordinator.on_message(notify)

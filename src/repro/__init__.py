@@ -38,8 +38,8 @@ cache over an indexed UDDI registry, and optional transport delivery
 batching — see ``docs/PERF.md`` and
 ``benchmarks/results/CLAIM-FASTPATH.txt``.
 
-The v1 :class:`ServiceManager` facade and blocking
-:class:`RuntimeClient` calls keep working as a compatibility layer.
+Blocking :class:`RuntimeClient` calls remain available beneath the
+sessions for callers that drive the runtime directly.
 """
 
 from repro.api import (
@@ -54,7 +54,6 @@ from repro.api import (
 )
 from repro.exceptions import SelfServError
 from repro.kernel import Actor, ActorKernel
-from repro.manager import ServiceManager
 from repro.monitoring import ExecutionTracer
 from repro.perf import PerfConfig
 from repro.resilience import HedgePolicy, ResilienceConfig, RetryPolicy
@@ -96,8 +95,7 @@ __all__ = [
     "ServiceCommunity",
     "SimTransport",
     "StatechartBuilder",
-    # v1 compatibility layer
+    # blocking runtime client
     "RuntimeClient",
-    "ServiceManager",
     "__version__",
 ]

@@ -15,11 +15,9 @@ peer-to-peer runtime:
   ``submit`` accepts.
 
 ``PlatformConfig.perf`` (a :class:`~repro.perf.PerfConfig`) tunes the
-fast path: routing-plan compilation, the ``locate()`` cache and
-transport delivery batching (``docs/PERF.md``).
-
-The v1 :class:`~repro.manager.ServiceManager` remains as a deprecated
-compatibility shim delegating here.
+fast path: the ``locate()`` cache, transport delivery batching and
+zero-copy local dispatch (``docs/PERF.md``).  Routing plans are always
+compiled at deploy time.
 """
 
 from repro.api.config import PlatformConfig

@@ -208,7 +208,7 @@ class Session:
             self.client: Optional[RuntimeClient] = RuntimeClient(
                 name, host, platform.transport, kernel=platform.kernel
             )
-            self.client.install()
+            self.client.start()
         else:
             self.client = None
         # In-flight handles only: entries leave on result delivery, so a
@@ -255,7 +255,7 @@ class Session:
                 shard.ensure_node(self.host)
                 client = RuntimeClient(self.name, self.host,
                                        shard.transport, kernel=shard.kernel)
-                client.install()
+                client.start()
                 self._shard_clients[shard.shard_id] = client
             return client
 

@@ -89,7 +89,6 @@ class Platform:
             registry=self.config.registry,
             placement=self.config.build_placement(),
             resilience=self.resilience,
-            compile_plans=self.config.perf.compile_plans,
             kernel=self.kernel,
         )
         #: Fast-path audit trail (cache hits/misses/invalidations),

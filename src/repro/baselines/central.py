@@ -461,7 +461,7 @@ class CentralDeployment:
         return self.orchestrator.address
 
     def undeploy(self) -> None:
-        self.orchestrator.uninstall()
+        self.orchestrator.stop()
 
 
 def deploy_central(

@@ -8,8 +8,8 @@ tables into the hosts of the component services." (paper §4)
 :class:`Deployer` performs both steps against a transport: it installs
 wrappers for elementary services, communities and composites, generates
 and places routing tables, and instantiates one coordinator per table on
-the chosen provider host.  With ``compile_plans`` (the default) it also
-compiles each operation's placed tables into one shared
+the chosen provider host.  It also compiles each operation's placed
+tables into one shared
 :class:`~repro.perf.CompiledRoutingPlan`, stored on the
 :class:`CompositeDeployment` and consumed by every coordinator's hot
 path.

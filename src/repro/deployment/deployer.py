@@ -46,11 +46,8 @@ class CompositeDeployment:
     tables: Dict[str, "Dict[str, RoutingTable]"] = field(default_factory=dict)
     graphs: Dict[str, FlatGraph] = field(default_factory=dict)
     #: operation -> the deploy-time compiled dispatch plan shared by that
-    #: operation's coordinators (``None`` entries when the deployer runs
-    #: with ``compile_plans=False``).
-    plans: Dict[str, "Optional[CompiledRoutingPlan]"] = field(
-        default_factory=dict
-    )
+    #: operation's coordinators.
+    plans: Dict[str, CompiledRoutingPlan] = field(default_factory=dict)
 
     @property
     def address(self) -> "Tuple[str, str]":
@@ -74,8 +71,8 @@ class CompositeDeployment:
         """Remove every endpoint this deployment installed."""
         for per_op in self.coordinators.values():
             for coordinator in per_op.values():
-                coordinator.uninstall()
-        self.wrapper.uninstall()
+                coordinator.stop()
+        self.wrapper.stop()
 
     def describe(self) -> str:
         """Multi-line deployment report (the deployer's console output)."""
@@ -105,7 +102,6 @@ class Deployer:
         registry: Optional[FunctionRegistry] = None,
         placement: Optional[PlacementPolicy] = None,
         resilience: "Optional[ResilienceRuntime]" = None,
-        compile_plans: bool = True,
         kernel: Optional[ActorKernel] = None,
     ) -> None:
         self.transport = transport
@@ -120,11 +116,6 @@ class Deployer:
         #: When set, community wrappers deploy health-aware (breaker
         #: gating, status-ordered failover, resilience events).
         self.resilience = resilience
-        #: Compile each operation's routing tables into one shared
-        #: :class:`~repro.perf.CompiledRoutingPlan` at deploy time
-        #: (``False`` = seed behaviour: coordinators re-derive their
-        #: dispatch structures per firing).
-        self.compile_plans = compile_plans
         #: The shard's :class:`~repro.durability.ShardDurability`, when
         #: durability is configured.  The deployer journals every
         #: deployment through it (so recovery can rebuild the topology)
@@ -236,7 +227,7 @@ class Deployer:
         entry_points: Dict[str, Tuple[str, str]] = {}
         all_tables: Dict[str, Dict[str, RoutingTable]] = {}
         all_graphs: Dict[str, FlatGraph] = {}
-        all_plans: Dict[str, Optional[CompiledRoutingPlan]] = {}
+        all_plans: Dict[str, CompiledRoutingPlan] = {}
         placed_tables: Dict[str, Dict[str, RoutingTable]] = {}
         event_targets: Dict[str, Dict[str, list]] = {}
         coordinator_locations: Dict[str, list] = {}
@@ -253,10 +244,8 @@ class Deployer:
             all_graphs[operation] = graph
             # The plan is compiled once, over the *placed* tables, so the
             # dispatch structures carry the peers' final host locations.
-            all_plans[operation] = (
-                compile_routing_plan(placed, composite.name, operation,
-                                     self.registry)
-                if self.compile_plans else None
+            all_plans[operation] = compile_routing_plan(
+                placed, composite.name, operation, self.registry
             )
             placed_tables[operation] = placed
             entry = graph.initial_node()
@@ -316,9 +305,7 @@ class Deployer:
                     transport=self.transport,
                     directory=self.directory,
                     wrapper_address=wrapper_address,
-                    registry=self.registry,
-                    dispatch=(plan.dispatch_for(node_id)
-                              if plan is not None else None),
+                    dispatch=plan.dispatch_for(node_id),
                     kernel=self.kernel,
                 )
                 coordinator.start()

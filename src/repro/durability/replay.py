@@ -124,6 +124,8 @@ def replay_wal(dur, transport, kernel, report: ReplayReport) -> SendGate:
     """Steps 3+4 of recovery: replay ``deliver`` records, resume sends."""
     records, clean = dur.wal.read()
     report.clean_tail = clean
+    if not clean:
+        dur.wal.store.cut_torn_tail()
     report.records_total = len(records)
     for record in records:
         if record["t"] == "effect":
@@ -259,7 +261,7 @@ def rebind_fleet_sessions(sessions, shard_id: int, slice_) -> int:
                 slice_.transport, kernel=slice_.kernel,
             )
             slice_.ensure_node(session.host)
-            new.install()
+            new.start()
             session._shard_clients[shard_id] = new
         moved += migrate_client(old, new, [session])
     return moved
@@ -307,7 +309,7 @@ def recover_platform(crashed):
                 session.name, session.host,
                 fresh.transport, kernel=fresh.kernel,
             )
-            new.install()
+            new.start()
             migrate_client(old, new, [session])
             session.client = new
             fresh._sessions[session.name] = session

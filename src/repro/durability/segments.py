@@ -237,6 +237,23 @@ class SegmentStore:
                 return payloads, False
         return payloads, True
 
+    def cut_torn_tail(self) -> None:
+        """Durably truncate the last segment to its last whole frame.
+
+        Recovery calls this after reading and before the recovered
+        incarnation appends, so the log stays a gapless run of whole
+        frames: a torn frame left on disk would stop every later
+        :meth:`read_all` there and hide the records appended after it.
+        """
+        paths = self.segment_paths()
+        if not paths:
+            return
+        _, clean, valid_bytes = read_segment(paths[-1])
+        if not clean:
+            with open(paths[-1], "r+b") as handle:
+                handle.truncate(valid_bytes)
+                os.fsync(handle.fileno())
+
     def truncate(self) -> int:
         """Delete every segment (after a durable snapshot).  Returns count.
 

@@ -161,14 +161,6 @@ class TransportError(SelfServError):
     """Base class for messaging-substrate errors."""
 
 
-class NodeUnreachableError(TransportError):
-    """Raised when sending to a node that is failed or unknown."""
-
-    def __init__(self, node: str) -> None:
-        super().__init__(f"node {node!r} is unreachable")
-        self.node = node
-
-
 class WireError(TransportError):
     """Base class for socket wire-transport errors (``repro.net.wire``)."""
 

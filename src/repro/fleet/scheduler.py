@@ -95,7 +95,6 @@ def build_shard_slice(
         directory,
         registry=config.registry,
         placement=config.build_placement(),
-        compile_plans=config.perf.compile_plans,
         kernel=kernel,
     )
     engine = ServiceDiscoveryEngine(

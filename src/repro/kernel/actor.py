@@ -8,8 +8,7 @@ uniformity, made code:
 * :class:`Actor` — base class with a *declarative* verb -> handler
   dispatch table (the :func:`handles` decorator), a kernel-owned
   :class:`~repro.kernel.mailbox.Mailbox` as its delivery point, uniform
-  lifecycle (``start``/``stop``, with the v1 ``install``/``uninstall``
-  names kept as aliases), and envelope-only ``send``/``reply`` — no
+  lifecycle (``start``/``stop``), and envelope-only ``send``/``reply`` — no
   actor ever builds a raw dict body or a :class:`Message` by hand.
 * :class:`ActorKernel` — the shared substrate one platform's actors
   live on: the middleware chain (see
@@ -309,14 +308,6 @@ class Actor:
             self.transport.node(self.host).unregister(self.endpoint_name)
             self.kernel.actor_stopped(self)
             self._started = False
-
-    def install(self) -> None:
-        """v1 lifecycle name; same as :meth:`start`."""
-        self.start()
-
-    def uninstall(self) -> None:
-        """v1 lifecycle name; same as :meth:`stop`."""
-        self.stop()
 
     # Messaging --------------------------------------------------------------
 

@@ -15,8 +15,8 @@ indexes what it scanned:
   generation-invalidated cache behind
   :meth:`~repro.discovery.ServiceDiscoveryEngine.locate`,
 * :class:`PerfConfig` — the knobs a
-  :class:`~repro.api.PlatformConfig` carries (plan compilation, cache
-  size/TTL, transport batch window),
+  :class:`~repro.api.PlatformConfig` carries (cache size/TTL,
+  transport batch window, zero-copy local dispatch),
 * :class:`PerfEventLog` / :class:`PerfEvent` — the cache audit trail
   surfaced through the execution tracer.
 

@@ -1,17 +1,17 @@
 """Declarative performance knobs of the platform fast path.
 
 A :class:`PerfConfig` travels on :class:`~repro.api.PlatformConfig` and
-controls the three fast-path layers introduced by ``repro.perf``:
+controls the tunable fast-path layers of ``repro.perf``:
 
-* **compiled routing plans** — flatten every routing table into an
-  immutable per-coordinator dispatch structure at deploy time,
 * **indexed discovery** — the TTL+generation-invalidated ``locate()``
   cache in front of the UDDI registry's inverted indexes,
 * **transport batching** — coalesced delivery windows on the simulated
-  transport and queue-drain batching on the threaded one.
+  transport and queue-drain batching on the threaded one,
+* **zero-copy local dispatch** — same-kernel sends carry the envelope.
 
-Every knob has an "off" position that restores the seed behaviour, which
-is what the CLAIM-FASTPATH benchmark compares against.
+Compiled routing plans are not a knob: the deployer always compiles
+them.  Every knob has an "off" position, which is what the
+CLAIM-FASTPATH benchmark compares against.
 """
 
 from __future__ import annotations
@@ -23,17 +23,12 @@ from dataclasses import dataclass
 class PerfConfig:
     """Tuning knobs of the ``repro.perf`` fast path.
 
-    The defaults enable the always-safe optimisations (plan compilation
-    and the generation-checked locate cache) and leave delivery batching
-    off, because a coalescing window trades a bounded amount of latency
-    for fewer delivery events and should be an explicit choice.
+    The defaults enable the always-safe optimisation (the
+    generation-checked locate cache) and leave delivery batching off,
+    because a coalescing window trades a bounded amount of latency for
+    fewer delivery events and should be an explicit choice.
     """
 
-    #: Compile each operation's routing tables into shared, immutable
-    #: per-coordinator dispatch structures at deploy time.  ``False``
-    #: restores the seed path where every coordinator re-derives its
-    #: row partitions and peer endpoint names on each firing.
-    compile_plans: bool = True
     #: Maximum entries of the ``locate()`` cache (LRU).  ``0`` disables
     #: the cache entirely — every locate round-trips through SOAP/UDDI.
     locate_cache_size: int = 256
@@ -71,9 +66,8 @@ class PerfConfig:
 
     @classmethod
     def disabled(cls) -> "PerfConfig":
-        """The seed path: no plan compilation, no cache, no batching."""
+        """Every knob off: no locate cache, no batching, no zero-copy."""
         return cls(
-            compile_plans=False,
             locate_cache_size=0,
             locate_cache_ttl_ms=0.0,
             batch_window_ms=0.0,

@@ -38,8 +38,7 @@ class CoordinatorDispatch:
     per notification/firing/signal, precomputed once:
 
     * ``expected_edges`` — the join's expected edge ids (ALL mode),
-    * ``immediate_rows`` / ``event_rows`` — the postprocessing partition
-      the seed path rebuilt per firing,
+    * ``immediate_rows`` / ``event_rows`` — the postprocessing partition,
     * ``rows_by_event`` / ``consumed_events`` — signal routing without a
       row scan,
     * ``notify_targets`` — per edge, the peer's ``(host, endpoint)``
@@ -135,13 +134,13 @@ class CompiledRoutingPlan:
     dispatches: "Mapping[str, CoordinatorDispatch]"
 
     def dispatch_for(self, node_id: str) -> CoordinatorDispatch:
-        dispatch = self.dispatches.get(node_id)
-        if dispatch is None:
+        try:
+            return self.dispatches[node_id]
+        except KeyError:
             raise RoutingError(
                 f"plan for {self.composite}.{self.operation} has no "
                 f"coordinator {node_id!r}"
-            )
-        return dispatch
+            ) from None
 
     def statistics(self) -> "Dict[str, int]":
         """Plan-shape numbers (used by docs and the fastpath benchmark)."""

@@ -121,7 +121,7 @@ class RuntimeClient(Actor):
         of the shared pool read by :meth:`take_results`/:meth:`wait_all` —
         the correlation path behind :class:`repro.api.ExecutionHandle`.
         """
-        self.install()
+        self.start()
         request_key = f"{self.name}-req{next(_request_ids)}"
         if on_result is not None:
             self._callbacks[request_key] = on_result
@@ -180,7 +180,7 @@ class RuntimeClient(Actor):
         ``payload`` values are merged into the waiting token's variable
         environment before its guards are evaluated.
         """
-        self.install()
+        self.start()
         self.send(target_node, target_endpoint, Signal(
             execution_id=execution_id,
             event=event,

@@ -30,10 +30,9 @@ coordinator code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.exceptions import ExpressionError
-from repro.expr import CompiledExpression, FunctionRegistry
 from repro.kernel.actor import Actor, ActorKernel, handles
 from repro.kernel.envelopes import (
     Complete,
@@ -85,8 +84,7 @@ class Coordinator(Actor):
         transport: Transport,
         directory: ServiceDirectory,
         wrapper_address: "Tuple[str, str]",
-        registry: Optional[FunctionRegistry] = None,
-        dispatch: "Optional[CoordinatorDispatch]" = None,
+        dispatch: "CoordinatorDispatch",
         kernel: Optional[ActorKernel] = None,
     ) -> None:
         super().__init__(host, transport, kernel)
@@ -95,12 +93,10 @@ class Coordinator(Actor):
         self.operation = operation
         self.directory = directory
         self.wrapper_address = wrapper_address
-        self._registry = registry
-        #: Deploy-time compiled dispatch structure (``repro.perf``): when
-        #: present, the hot paths below use its precomputed row
-        #: partitions, join edge sets and interned peer endpoints instead
-        #: of re-deriving them per notification.  ``None`` keeps the
-        #: seed's derive-per-firing behaviour (the benchmark baseline).
+        #: Deploy-time compiled dispatch structure (``repro.perf``): the
+        #: hot paths below use its precomputed row partitions, join edge
+        #: sets, compiled expressions and interned peer endpoints, so
+        #: nothing is re-derived per notification.
         self._dispatch = dispatch
         # Per-coordinator, not module-global: invocation ids must come
         # out identical when a recovered coordinator re-runs the same
@@ -119,45 +115,23 @@ class Coordinator(Actor):
         # an event before its consumer's task completes.
         self._buffered_signals: "Dict[str, list]" = {}
         self._pending_invocations: Dict[str, "Tuple[str, Dict[str, Any]]"] = {}
-        self._compiled_guards: "Mapping[str, Optional[CompiledExpression]]"
-        self._compiled_actions: (
-            "Mapping[str, Tuple[Tuple[str, CompiledExpression], ...]]"
-        )
-        self._compiled_inputs: "Mapping[str, CompiledExpression]"
-        if dispatch is None:
-            # One source of truth for guard/action/input compilation:
-            # the seed path differs from the compiled one only in the
-            # hot-path structures it re-derives per firing, never in
-            # how expressions are classified and compiled.
-            from repro.perf.plan import compile_dispatch  # import here:
-            # a module-level import would cycle through repro.runtime's
-            # package init.  self._dispatch stays None, so the hot path
-            # keeps deriving its structures per firing (seed baseline).
-            dispatch = compile_dispatch(table, composite, operation,
-                                        registry)
-        self._compiled_guards = dispatch.guards
-        self._compiled_actions = dispatch.actions
-        self._compiled_inputs = dispatch.input_exprs
-        #: Fused immediate-row plan (compiled path only): one tuple per
-        #: immediate row carrying everything a firing needs — the row,
-        #: its guard (``None`` when it always fires), its action list
-        #: and the fully resolved peer address — so the hot loop in
-        #: :meth:`_postprocess` runs without per-firing mapping lookups.
-        #: ``None`` on the seed path keeps that branch byte-identical.
-        self._fused_immediate = None
-        if self._dispatch is not None:
-            self._fused_immediate = tuple(
-                (
-                    row,
-                    None
-                    if row.fire_always or dispatch.guards[row.edge_id] is None
-                    else dispatch.guards[row.edge_id],
-                    dispatch.actions[row.edge_id],
-                    dispatch.notify_targets[row.edge_id][0] or host,
-                    dispatch.notify_targets[row.edge_id][1],
-                )
-                for row in dispatch.immediate_rows
+        #: Fused immediate-row plan: one tuple per immediate row carrying
+        #: everything a firing needs — the row, its guard (``None`` when
+        #: it always fires), its action list and the fully resolved peer
+        #: address — so the hot loop in :meth:`_postprocess` runs without
+        #: per-firing mapping lookups.
+        self._fused_immediate = tuple(
+            (
+                row,
+                None
+                if row.fire_always or dispatch.guards[row.edge_id] is None
+                else dispatch.guards[row.edge_id],
+                dispatch.actions[row.edge_id],
+                dispatch.notify_targets[row.edge_id][0] or host,
+                dispatch.notify_targets[row.edge_id][1],
             )
+            for row in dispatch.immediate_rows
+        )
 
     # Wiring ------------------------------------------------------------------
 
@@ -188,10 +162,7 @@ class Coordinator(Actor):
     def _try_fire_join(
         self, execution_id: str, state: _ExecutionState
     ) -> None:
-        expected = (
-            self._dispatch.expected_edges if self._dispatch is not None
-            else [e.edge_id for e in self.table.precondition.entries]
-        )
+        expected = self._dispatch.expected_edges
         if not expected:
             self._fire(execution_id, dict(state.env))
             state.firings += 1
@@ -220,7 +191,7 @@ class Coordinator(Actor):
         try:
             arguments = {
                 parameter: compiled.value(env)
-                for parameter, compiled in self._compiled_inputs.items()
+                for parameter, compiled in self._dispatch.input_exprs.items()
             }
         except ExpressionError as exc:
             self._report_fault(
@@ -278,72 +249,37 @@ class Coordinator(Actor):
         ECA rule.  A completion transition that is enabled wins over
         waiting for events, the usual statechart priority.
         """
-        fused = self._fused_immediate
-        if fused is not None:
-            event_rows = self._dispatch.event_rows
-            node_id = self.table.node_id
-            fired = 0
-            for row, guard, actions, peer_host, peer_endpoint in fused:
-                try:
-                    if guard is not None and not guard(env):
-                        continue
-                    if actions:
-                        out_env = dict(env)
-                        for target, compiled in actions:
-                            out_env[target] = compiled.value(env)
-                    else:
-                        out_env = env
-                except ExpressionError as exc:
-                    self._report_fault(
-                        execution_id,
-                        f"routing at {node_id!r} edge "
-                        f"{row.edge_id!r} failed: {exc}",
-                    )
-                    return
-                fired += 1
-                self.send(peer_host, peer_endpoint, Notify(
-                    execution_id=execution_id,
-                    edge_id=row.edge_id,
-                    from_node=node_id,
-                    env=out_env,
-                ))
-                if row.emits:
-                    self._emit_events(execution_id, row)
-            if fired == 0 and event_rows:
-                self._waiting_tokens.setdefault(execution_id, []).append(
-                    _WaitingToken(execution_id=execution_id, env=dict(env))
-                )
-                self._replay_buffered(execution_id)
-                return
-            if fired == 0 and self.table.postprocessing.rows:
-                self._report_fault(
-                    execution_id,
-                    f"no routing guard matched at {node_id!r}",
-                )
-            return
-        immediate = [
-            row for row in self.table.postprocessing.rows if not row.event
-        ]
-        event_rows = [
-            row for row in self.table.postprocessing.rows if row.event
-        ]
+        node_id = self.table.node_id
         fired = 0
-        for row in immediate:
+        for row, guard, actions, peer_host, peer_endpoint in (
+            self._fused_immediate
+        ):
             try:
-                if not self._row_matches(row, env):
+                if guard is not None and not guard(env):
                     continue
-                out_env = self._apply_actions(row, env)
+                if actions:
+                    out_env = dict(env)
+                    for target, compiled in actions:
+                        out_env[target] = compiled.value(env)
+                else:
+                    out_env = env
             except ExpressionError as exc:
                 self._report_fault(
                     execution_id,
-                    f"routing at {self.table.node_id!r} edge "
+                    f"routing at {node_id!r} edge "
                     f"{row.edge_id!r} failed: {exc}",
                 )
                 return
             fired += 1
-            self._notify_peer(execution_id, row, out_env)
-            self._emit_events(execution_id, row)
-        if fired == 0 and event_rows:
+            self.send(peer_host, peer_endpoint, Notify(
+                execution_id=execution_id,
+                edge_id=row.edge_id,
+                from_node=node_id,
+                env=out_env,
+            ))
+            if row.emits:
+                self._emit_events(execution_id, row)
+        if fired == 0 and self._dispatch.event_rows:
             self._waiting_tokens.setdefault(execution_id, []).append(
                 _WaitingToken(execution_id=execution_id, env=dict(env))
             )
@@ -352,7 +288,7 @@ class Coordinator(Actor):
         if fired == 0 and self.table.postprocessing.rows:
             self._report_fault(
                 execution_id,
-                f"no routing guard matched at {self.table.node_id!r}",
+                f"no routing guard matched at {node_id!r}",
             )
 
     def _emit_events(self, execution_id: str, row) -> None:
@@ -380,12 +316,7 @@ class Coordinator(Actor):
         """
         execution_id = signal.execution_id
         event = signal.event
-        if self._dispatch is not None:
-            if event not in self._dispatch.consumed_events:
-                return
-        elif not any(
-            row.event == event for row in self.table.postprocessing.rows
-        ):
+        if event not in self._dispatch.consumed_events:
             return
         if not self._try_consume(execution_id, event, signal.payload):
             self._buffered_signals.setdefault(execution_id, []).append(
@@ -397,13 +328,7 @@ class Coordinator(Actor):
     ) -> bool:
         """Wake parked tokens with ``event``; returns whether any fired."""
         tokens = self._waiting_tokens.get(execution_id, [])
-        if self._dispatch is not None:
-            event_rows = self._dispatch.rows_by_event.get(event, ())
-        else:
-            event_rows = [
-                row for row in self.table.postprocessing.rows
-                if row.event == event
-            ]
+        event_rows = self._dispatch.rows_by_event.get(event, ())
         consumed_any = False
         for token in tokens:
             if token.consumed:
@@ -453,7 +378,7 @@ class Coordinator(Actor):
     def _row_matches(
         self, row: PostprocessingRow, env: "Dict[str, Any]"
     ) -> bool:
-        compiled = self._compiled_guards[row.edge_id]
+        compiled = self._dispatch.guards[row.edge_id]
         if row.fire_always or compiled is None:
             return True
         return compiled(env)
@@ -461,7 +386,7 @@ class Coordinator(Actor):
     def _apply_actions(
         self, row: PostprocessingRow, env: "Dict[str, Any]"
     ) -> "Dict[str, Any]":
-        actions = self._compiled_actions[row.edge_id]
+        actions = self._dispatch.actions[row.edge_id]
         if not actions:
             return env
         out_env = dict(env)
@@ -475,17 +400,10 @@ class Coordinator(Actor):
         row: PostprocessingRow,
         env: "Dict[str, Any]",
     ) -> None:
-        if self._dispatch is not None:
-            target_host, target_endpoint = (
-                self._dispatch.notify_targets[row.edge_id]
-            )
-            target_host = target_host or self.host
-        else:
-            target_host = row.target_host or self.host
-            target_endpoint = coordinator_endpoint(
-                self.composite, self.operation, row.target_node
-            )
-        self.send(target_host, target_endpoint, Notify(
+        target_host, target_endpoint = (
+            self._dispatch.notify_targets[row.edge_id]
+        )
+        self.send(target_host or self.host, target_endpoint, Notify(
             execution_id=execution_id,
             edge_id=row.edge_id,
             from_node=self.table.node_id,

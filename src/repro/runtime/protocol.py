@@ -5,14 +5,13 @@ module makes the protocol auditable: every message kind and every
 endpoint naming rule is defined here and nowhere else; the body *shape*
 of each kind is its typed envelope in :mod:`repro.kernel.envelopes`
 (one frozen dataclass per verb, with the only codecs that build or
-parse wire bodies).  The ``*_body`` helpers below survive from v1 and
-delegate to those codecs.
+parse wire bodies).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 
 class MessageKinds:
@@ -125,51 +124,3 @@ class ResolvedBinding:
         """Whether ``operation`` is advertised (vacuously true if unknown)."""
         return not self.operations or operation in self.operations
 
-
-def notify_body(
-    execution_id: str,
-    edge_id: str,
-    from_node: str,
-    env: Mapping[str, Any],
-) -> "Dict[str, Any]":
-    """A ``notify`` body via its envelope codec (v1-compat helper)."""
-    from repro.kernel.envelopes import Notify  # cycle: kernel uses MessageKinds
-
-    return Notify(
-        execution_id=execution_id,
-        edge_id=edge_id,
-        from_node=from_node,
-        env=env,
-    ).to_body()
-
-
-def invoke_body(
-    invocation_id: str,
-    execution_id: str,
-    operation: str,
-    arguments: Mapping[str, Any],
-) -> "Dict[str, Any]":
-    """An ``invoke`` body via its envelope codec (v1-compat helper)."""
-    from repro.kernel.envelopes import Invoke  # cycle: kernel uses MessageKinds
-
-    return Invoke(
-        invocation_id=invocation_id,
-        execution_id=execution_id,
-        operation=operation,
-        arguments=arguments,
-    ).to_body()
-
-
-def invoke_result_body(
-    invocation_id: str,
-    execution_id: str,
-    ok: bool,
-    outputs: Optional[Mapping[str, Any]] = None,
-    fault: str = "",
-) -> "Dict[str, Any]":
-    """An ``invoke_result`` body via its envelope codec (v1-compat helper)."""
-    from repro.kernel.envelopes import InvokeResult  # cycle: see above
-
-    return InvokeResult.outcome(
-        invocation_id, execution_id, ok, outputs, fault
-    ).to_body()

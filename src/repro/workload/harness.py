@@ -48,7 +48,7 @@ class SimEnvironment:
             self.transport.add_node(host)
         client = RuntimeClient(name, host, self.transport,
                                kernel=self.deployer.kernel)
-        client.install()
+        client.start()
         self._clients[key] = client
         return client
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.manager import ServiceManager
+from repro.api import Platform, PlatformConfig
 from repro.net.latency import FixedLatency
 from repro.net.simnet import SimTransport
 from repro.demo.travel import deploy_travel_scenario
@@ -62,18 +62,20 @@ def env():
 
 
 @pytest.fixture
-def manager():
-    """A service manager over a fresh simulated transport."""
-    transport = SimTransport(latency=FixedLatency(remote_ms=5.0))
-    return ServiceManager(transport)
+def platform():
+    """An untraced platform over a fresh simulated transport."""
+    return Platform(
+        PlatformConfig(trace=False),
+        transport=SimTransport(latency=FixedLatency(remote_ms=5.0)),
+    )
 
 
 @pytest.fixture
-def travel(manager):
+def travel(platform):
     """The fully deployed travel scenario plus a ready client."""
-    deployed = deploy_travel_scenario(manager.deployer)
-    client = manager.client("tester", "tester-host")
-    return manager, deployed, client
+    deployed = deploy_travel_scenario(platform.deployer)
+    client = platform.session("tester", "tester-host").client
+    return platform, deployed, client
 
 
 TRAVEL_ARGS = {

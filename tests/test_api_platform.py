@@ -1,8 +1,8 @@
-"""Platform facade tests: config, fluent registration, shim parity."""
+"""Platform facade tests: config, fluent registration, v1 call sites."""
 
 import pytest
 
-from repro import Platform, PlatformConfig, ServiceManager
+from repro import Platform, PlatformConfig
 from repro.api.fluent import Composition, ProviderSite
 from repro.demo.providers import make_attractions_search, make_car_rental
 from repro.demo.travel import build_accommodation_community
@@ -194,24 +194,20 @@ class TestSessions:
 
 
 class TestManagerShimParity:
-    """The deprecated v1 facade must behave exactly like before."""
+    """The v1 manager call sites, spelled on the Platform itself."""
 
-    @pytest.fixture
-    def manager(self):
-        transport = SimTransport(latency=FixedLatency(remote_ms=5.0))
-        with pytest.deprecated_call():
-            return ServiceManager(transport)
+    def test_shim_shares_platform_modules(self, platform):
+        # One wiring: the deployer and discovery run on the platform's
+        # own transport, directory and kernel.
+        assert platform.deployer.transport is platform.transport
+        assert platform.deployer.directory is platform.directory
+        assert platform.deployer.kernel is platform.kernel
+        assert platform.discovery.transport is platform.transport
+        assert platform.discovery.directory is platform.directory
 
-    def test_shim_shares_platform_modules(self, manager):
-        assert manager.directory is manager.platform.directory
-        assert manager.deployer is manager.platform.deployer
-        assert manager.discovery is manager.platform.discovery
-        assert manager.editor is manager.platform.editor
-        assert manager.transport is manager.platform.transport
-
-    def test_register_and_locate_and_execute(self, manager):
-        manager.register_elementary(make_attractions_search(), "h-sights")
-        draft = manager.new_draft("SightTrip", provider="Tours")
+    def test_register_and_locate_and_execute(self, platform):
+        platform.register_elementary(make_attractions_search(), "h-sights")
+        draft = platform.editor.new_draft("SightTrip", provider="Tours")
         canvas = draft.operation(
             "plan",
             inputs=["destination"],
@@ -223,20 +219,22 @@ class TestManagerShimParity:
                      outputs={"major_attraction": "major_attraction"})
                .final()
                .chain("initial", "AS", "final"))
-        manager.deploy_composite(draft, "h-tours")
-        result = manager.locate_and_execute(
-            "u", "u-host", "SightTrip", "plan", {"destination": "paris"},
+        platform.deploy_composite(draft, "h-tours")
+        result = platform.session("u", "u-host").execute(
+            "SightTrip", "plan", {"destination": "paris"},
         )
         assert result.ok
         assert result.outputs["major_attraction"]["name"] == (
             "Louvre Museum"
         )
 
-    def test_client_is_platform_session_client(self, manager):
-        client = manager.client("alice", "h1")
-        assert manager.platform.session("alice", "h1").client is client
+    def test_client_is_platform_session_client(self, platform):
+        client = platform.session("alice", "h1").client
+        assert client.started
+        assert client.kernel is platform.kernel
+        assert client.transport is platform.transport
 
-    def test_client_host_mismatch_raises(self, manager):
-        manager.client("alice", "h1")
+    def test_client_host_mismatch_raises(self, platform):
+        platform.session("alice", "h1")
         with pytest.raises(SelfServError, match="already exists on host"):
-            manager.client("alice", "h2")
+            platform.session("alice", "h2")

@@ -83,8 +83,8 @@ class TestFileStore:
         assert "/" not in _safe_name("a/b/c")
         assert _safe_name("") == "_"
 
-    def test_travel_deployment_persists(self, manager, tmp_path):
-        deployed = deploy_travel_scenario(manager.deployer)
+    def test_travel_deployment_persists(self, platform, tmp_path):
+        deployed = deploy_travel_scenario(platform.deployer)
         store = RoutingTableStore(str(tmp_path))
         written = store.save_deployment(deployed.deployment)
         assert len(written) == len(deployed.deployment.hosts_used())

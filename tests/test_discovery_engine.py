@@ -12,18 +12,18 @@ from repro.runtime.protocol import wrapper_endpoint
 
 
 @pytest.fixture
-def published(manager):
+def published(platform):
     """Travel scenario deployed AND published (register_* flows)."""
-    deployed = deploy_travel_scenario(manager.deployer)
-    # deploy_travel_scenario bypasses the manager's publish step, so
+    deployed = deploy_travel_scenario(platform.deployer)
+    # deploy_travel_scenario bypasses the platform's publish step, so
     # publish through the engine here, as providers would.
     for service in deployed.scenario.all_services():
-        manager.discovery.publish(service.description, category="travel")
-    manager.discovery.publish(deployed.scenario.community.description,
-                              category="travel")
-    manager.discovery.publish(deployed.scenario.composite.description,
-                              category="composite")
-    return manager, deployed
+        platform.discovery.publish(service.description, category="travel")
+    platform.discovery.publish(deployed.scenario.community.description,
+                               category="travel")
+    platform.discovery.publish(deployed.scenario.composite.description,
+                               category="composite")
+    return platform, deployed
 
 
 class TestAccessPoints:
@@ -41,24 +41,24 @@ class TestAccessPoints:
 
 
 class TestPublish:
-    def test_unknown_service_cannot_publish(self, manager):
+    def test_unknown_service_cannot_publish(self, platform):
         from repro.services.description import ServiceDescription
 
         with pytest.raises(DiscoveryError, match="must be deployed"):
-            manager.discovery.publish(ServiceDescription("Ghost"))
+            platform.discovery.publish(ServiceDescription("Ghost"))
 
     def test_publish_creates_uddi_and_wsdl(self, published):
-        manager, deployed = published
-        stats = manager.discovery.registry.statistics()
+        platform, deployed = published
+        stats = platform.discovery.registry.statistics()
         # 8 elementary + community + composite = 10 services
         assert stats["services"] == 10
         assert stats["bindings"] == 10
-        listing = manager.discovery.service_detail("DomesticFlightBooking")
+        listing = platform.discovery.service_detail("DomesticFlightBooking")
         assert listing.provider == "AusAir"
         assert listing.operations == ["bookFlight"]
         assert listing.access_point.startswith("selfserv://")
 
-    def test_provider_reused_across_publishes(self, manager):
+    def test_provider_reused_across_publishes(self, platform):
         """Two services from one provider share one businessEntity."""
         from repro.services.description import (
             OperationSpec, ServiceDescription,
@@ -70,77 +70,77 @@ class TestPublish:
             desc.add_operation(OperationSpec("op"))
             service = ElementaryService(desc)
             service.bind("op", lambda i: {})
-            manager.register_elementary(service, "h1")
-        assert manager.discovery.registry.statistics()["businesses"] == 1
+            platform.register_elementary(service, "h1")
+        assert platform.discovery.registry.statistics()["businesses"] == 1
 
     def test_unpublish(self, published):
-        manager, _deployed = published
-        manager.discovery.unpublish("CarRental")
+        platform, _deployed = published
+        platform.discovery.unpublish("CarRental")
         with pytest.raises(DiscoveryError, match="not published"):
-            manager.discovery.service_detail("CarRental")
+            platform.discovery.service_detail("CarRental")
 
-    def test_unpublish_unknown_raises(self, manager):
+    def test_unpublish_unknown_raises(self, platform):
         with pytest.raises(DiscoveryError):
-            manager.discovery.unpublish("Ghost")
+            platform.discovery.unpublish("Ghost")
 
 
 class TestSearch:
     def test_search_by_provider(self, published):
-        manager, _ = published
-        result = manager.discovery.search(provider="AusAir")
+        platform, _ = published
+        result = platform.discovery.search(provider="AusAir")
         assert result.providers == ["AusAir"]
         assert [l.name for l in result.listings] == [
             "DomesticFlightBooking"
         ]
 
     def test_search_by_service_name_substring(self, published):
-        manager, _ = published
-        result = manager.discovery.search(service_name="flight")
+        platform, _ = published
+        result = platform.discovery.search(service_name="flight")
         names = sorted(l.name for l in result.listings)
         assert names == ["DomesticFlightBooking",
                          "InternationalFlightBooking"]
 
     def test_search_by_operation(self, published):
-        manager, _ = published
-        result = manager.discovery.search(operation="bookAccommodation")
+        platform, _ = published
+        result = platform.discovery.search(operation="bookAccommodation")
         names = sorted(l.name for l in result.listings)
         # the community plus its three members advertise the operation
         assert "AccommodationBooking" in names
         assert len(names) == 4
 
     def test_search_no_match(self, published):
-        manager, _ = published
-        result = manager.discovery.search(service_name="zzz")
+        platform, _ = published
+        result = platform.discovery.search(service_name="zzz")
         assert result.listings == []
         assert result.render() == "(no matches)"
 
     def test_browse_tree_renders(self, published):
-        manager, _ = published
-        result = manager.discovery.search(service_name="flight")
+        platform, _ = published
+        result = platform.discovery.search(service_name="flight")
         rendered = result.render()
         assert "AusAir" in rendered
         assert "└─ DomesticFlightBooking" in rendered
         assert "· bookFlight" in rendered
 
     def test_result_find(self, published):
-        manager, _ = published
-        result = manager.discovery.search(service_name="flight")
+        platform, _ = published
+        result = platform.discovery.search(service_name="flight")
         assert result.find("DomesticFlightBooking").provider == "AusAir"
         with pytest.raises(DiscoveryError):
             result.find("CarRental")
 
     def test_fetch_wsdl(self, published):
-        manager, _ = published
-        document = manager.discovery.fetch_wsdl("CarRental")
+        platform, _ = published
+        document = platform.discovery.fetch_wsdl("CarRental")
         assert document.service_name == "CarRental"
         assert document.has_operation("rentCar")
 
 
 class TestExecuteFlow:
     def test_execute_composite_via_discovery(self, published):
-        manager, deployed = published
-        client = manager.client("enduser", "end-host")
-        result = manager.discovery.execute(
+        platform, deployed = published
+        client = platform.session("enduser", "end-host").client
+        result = platform.discovery.execute(
             client, "TravelArrangement", "arrangeTrip",
             {"customer": "Eve", "destination": "sydney",
              "departure_date": "d1", "return_date": "d2"},
@@ -149,22 +149,22 @@ class TestExecuteFlow:
         assert result.outputs["flight_ref"].startswith("DFB")
 
     def test_execute_unadvertised_operation_rejected(self, published):
-        manager, _ = published
-        client = manager.client("enduser", "end-host")
+        platform, _ = published
+        client = platform.session("enduser", "end-host").client
         with pytest.raises(DiscoveryError, match="does not advertise"):
-            manager.discovery.execute(client, "CarRental", "fly", {})
+            platform.discovery.execute(client, "CarRental", "fly", {})
 
     def test_execute_unpublished_service_fails(self, published):
-        manager, _ = published
-        manager.discovery.unpublish("CarRental")
-        client = manager.client("enduser", "end-host")
+        platform, _ = published
+        platform.discovery.unpublish("CarRental")
+        client = platform.session("enduser", "end-host").client
         with pytest.raises(DiscoveryError, match="not published"):
-            manager.discovery.execute(client, "CarRental", "rentCar", {})
+            platform.discovery.execute(client, "CarRental", "rentCar", {})
 
     def test_locate_and_execute_via_manager(self, published):
-        manager, _ = published
-        result = manager.locate_and_execute(
-            "alice", "alice-host", "TravelArrangement", "arrangeTrip",
+        platform, _ = published
+        result = platform.session("alice", "alice-host").execute(
+            "TravelArrangement", "arrangeTrip",
             {"customer": "Alice", "destination": "paris",
              "departure_date": "d1", "return_date": "d2"},
         )
@@ -175,28 +175,28 @@ class TestExecuteFlow:
 class TestLocateErrorPaths:
     """locate() is the half of locate-and-execute that can go stale."""
 
-    def test_locate_unknown_service_raises(self, manager):
+    def test_locate_unknown_service_raises(self, platform):
         with pytest.raises(DiscoveryError, match="not published"):
-            manager.discovery.locate("Ghost")
+            platform.discovery.locate("Ghost")
 
-    def test_locate_service_without_binding_raises(self, manager):
+    def test_locate_service_without_binding_raises(self, platform):
         # A UDDI service record can exist without any binding template
         # (e.g. a provider registered the entry but never uploaded the
         # access point); locate must refuse it, not return a half-built
         # binding.
-        soap = manager.discovery._soap
+        soap = platform.discovery._soap
         business = soap.call("save_business", {"name": "HalfCo"})
         soap.call("save_service", {
             "businessKey": business["businessKey"],
             "name": "Bindingless",
         })
-        listing = manager.discovery.service_detail("Bindingless")
+        listing = platform.discovery.service_detail("Bindingless")
         assert listing.access_point == ""
         with pytest.raises(DiscoveryError, match="no access point"):
-            manager.discovery.locate("Bindingless")
+            platform.discovery.locate("Bindingless")
 
-    def test_locate_foreign_access_scheme_raises(self, manager):
-        soap = manager.discovery._soap
+    def test_locate_foreign_access_scheme_raises(self, platform):
+        soap = platform.discovery._soap
         business = soap.call("save_business", {"name": "LegacyCo"})
         record = soap.call("save_service", {
             "businessKey": business["businessKey"],
@@ -207,34 +207,34 @@ class TestLocateErrorPaths:
             "accessPoint": "http://legacy.example/soap",
         })
         with pytest.raises(DiscoveryError, match="unsupported"):
-            manager.discovery.locate("LegacySoap")
+            platform.discovery.locate("LegacySoap")
 
-    def test_locate_unadvertised_operation_rejected_at_submit(self, manager):
+    def test_locate_unadvertised_operation_rejected_at_submit(self, platform):
         from repro.demo.providers import make_car_rental
 
-        manager.register_elementary(make_car_rental(), "h-cars")
-        binding = manager.discovery.locate("CarRental")
+        platform.register_elementary(make_car_rental(), "h-cars")
+        binding = platform.discovery.locate("CarRental")
         assert binding.operations == ("rentCar",)
-        session = manager.platform.session("u", "u-host")
+        session = platform.session("u", "u-host")
         with pytest.raises(DiscoveryError, match="does not advertise"):
             session.submit(binding, "fly", {})
 
-    def test_stale_binding_resolves_but_execution_times_out(self, manager):
+    def test_stale_binding_resolves_but_execution_times_out(self, platform):
         from repro.demo.providers import make_car_rental
         from repro.exceptions import ExecutionTimeoutError
 
-        wrapper = manager.register_elementary(make_car_rental(), "h-cars")
-        before = manager.discovery.locate("CarRental")
+        wrapper = platform.register_elementary(make_car_rental(), "h-cars")
+        before = platform.discovery.locate("CarRental")
         # Provider crashes: the endpoint goes away, UDDI keeps the entry
         # (no liveness in the registry), so locate still resolves ...
-        wrapper.uninstall()
-        manager.transport.fail_node("h-cars")
-        stale = manager.discovery.locate("CarRental")
+        wrapper.stop()
+        platform.transport.fail_node("h-cars")
+        stale = platform.discovery.locate("CarRental")
         assert stale.access_point == before.access_point
         # ... and the staleness only surfaces as an execution timeout.
-        client = manager.client("u2", "u2-host")
+        client = platform.session("u2", "u2-host").client
         with pytest.raises(ExecutionTimeoutError):
-            manager.discovery.execute(
+            platform.discovery.execute(
                 client, "CarRental", "rentCar",
                 {"destination": "sydney", "days": 2},
                 timeout_ms=200.0,
@@ -254,15 +254,16 @@ class TestFlatCost:
     @staticmethod
     def _costs(filler_services, one_provider):
         """{engine call: (SOAP calls, reply bytes)} on a filled registry."""
-        from repro.manager import ServiceManager
+        from repro.api import Platform, PlatformConfig
         from repro.net.simnet import SimTransport
         from repro.services.description import (
             OperationSpec, ServiceDescription,
         )
         from repro.services.elementary import ElementaryService
 
-        manager = ServiceManager(SimTransport())
-        engine = manager.discovery
+        platform = Platform(PlatformConfig(trace=False),
+                            transport=SimTransport())
+        engine = platform.discovery
         registry = engine.registry
         shared = registry.save_business(TestFlatCost.SHARED_PROVIDER)
         for index in range(filler_services):
@@ -281,7 +282,7 @@ class TestFlatCost:
         description.add_operation(OperationSpec("op"))
         service = ElementaryService(description)
         service.bind("op", lambda inputs: {})
-        manager.deployer.deploy_elementary(service, "probe-host")
+        platform.deployer.deploy_elementary(service, "probe-host")
 
         soap = engine._soap
         costs = {}
@@ -318,8 +319,8 @@ class TestFlatCost:
         assert all(received > 0 for _, received in small.values())
 
     def test_publish_returns_the_detail_view(self, published):
-        manager, deployed = published
-        engine = manager.discovery
+        platform, deployed = published
+        engine = platform.discovery
         composite = deployed.scenario.composite.description
         engine.unpublish(composite.name)
         listing = engine.publish(composite, category="composite")

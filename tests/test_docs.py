@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -55,11 +56,32 @@ def test_every_package_has_a_docstring_naming_entry_points():
         )
 
 
+#: Names of deleted v1 surfaces and of the deleted seed routing knob.
+#: Built from pieces so this file does not itself match a repo-wide
+#: search for them.
+_DELETED_NAMES = re.compile(
+    "|".join([
+        "Service" "Manager",
+        "compile" "_plans",
+        r"\.(un)?install\(\)",
+        r"\b(notify|invoke|invoke_result)_body\(",
+    ])
+)
+
+
 def test_no_stale_servicemanager_references_outside_the_shim():
-    """Satellite: ServiceManager-era wording is confined to the v1
-    shim, its tests, and explicit deprecation notes."""
-    for example in (REPO_ROOT / "examples").glob("*.py"):
-        text = example.read_text(encoding="utf-8")
-        assert "ServiceManager" not in text, (
-            f"{example.name} still uses the deprecated v1 facade"
+    """The README, the docs and the examples name no deleted surface:
+    the v1 facade, the routing-plan knob, the actor lifecycle aliases
+    and the protocol body helpers are all gone."""
+    documents = [
+        REPO_ROOT / "README.md",
+        *(REPO_ROOT / "docs").glob("*.md"),
+        *(REPO_ROOT / "examples").glob("*.py"),
+    ]
+    for document in documents:
+        text = document.read_text(encoding="utf-8")
+        match = _DELETED_NAMES.search(text)
+        assert match is None, (
+            f"{document.relative_to(REPO_ROOT)} names the deleted "
+            f"{match.group(0)!r}"
         )

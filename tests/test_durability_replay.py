@@ -12,6 +12,7 @@ import pytest
 from repro.api import PlatformConfig
 from repro.api.platform import Platform
 from repro.durability import DurabilityConfig, recover_platform
+from repro.durability.segments import frame
 from repro.net.message import Message
 from repro.workload.generator import make_chain_workload
 from repro.workload.harness import composite_for_workload
@@ -172,6 +173,42 @@ class TestMidFlightResume:
         assert freshest.session("u", "u-host").submit(
             deployment, "run", {}
         ).result().ok
+
+
+class TestTornTail:
+    def test_records_after_a_torn_tail_survive_the_next_recovery(
+        self, tmp_path
+    ):
+        """A kill mid-write leaves half a frame on disk.  Recovery cuts
+        it, so what the recovered shard then logs under ``always`` is
+        still there at the following recovery."""
+        platform, deployment = _build(tmp_path)
+        assert platform.session("u", "u-host").submit(
+            deployment, "run", {}
+        ).result().ok
+        first_run, _ = platform.durability.wal.read()
+        platform.durability.crash()
+        last_segment = platform.durability.store.segment_paths()[-1]
+        with open(last_segment, "ab") as handle:
+            handle.write(frame(b'{"t":"deliver"}')[:7])
+
+        fresh, report = recover_platform(platform)
+        assert not report.clean_tail
+        assert report.records_total == len(first_run)
+        wal = fresh.durability.wal
+        logged_before = wal.deliveries_logged + wal.effects_logged
+        assert fresh.session("u", "u-host").submit(
+            deployment, "run", {}
+        ).result().ok
+        second_run = wal.deliveries_logged + wal.effects_logged - logged_before
+        assert second_run > 0
+
+        fresh.durability.crash()
+        freshest, report = recover_platform(fresh)
+        assert report.clean_tail
+        assert report.records_total == len(first_run) + second_run
+        counts = _wrapper_counts(freshest)
+        assert all(c == (2, 0) for c in counts.values()), counts
 
 
 class TestExactlyOnce:

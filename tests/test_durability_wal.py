@@ -215,6 +215,24 @@ class TestSegmentStore:
         second_seg, _, _ = read_segment(paths[1])
         assert payloads == first_seg + second_seg
 
+    def test_cut_torn_tail_keeps_later_appends_readable(self, tmp_path):
+        store = SegmentStore(str(tmp_path), fsync="always")
+        for payload in _payloads(3):
+            store.append(payload)
+        store.close()
+        torn = store.segment_paths()[-1]
+        with open(torn, "ab") as handle:
+            handle.write(frame(b"half a frame")[:HEADER_SIZE + 2])
+
+        reopened = SegmentStore(str(tmp_path), fsync="always")
+        assert reopened.read_all() == (_payloads(3), False)
+        reopened.cut_torn_tail()
+        assert read_segment(torn)[1]
+        for payload in _payloads(6)[3:]:
+            reopened.append(payload)
+        reopened.close()
+        assert SegmentStore(str(tmp_path)).read_all() == (_payloads(6), True)
+
     def test_crash_with_no_open_writer_loses_nothing(self, tmp_path):
         store = SegmentStore(str(tmp_path))
         assert store.crash() == 0

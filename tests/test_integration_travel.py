@@ -14,7 +14,7 @@ from tests.conftest import travel_args
 
 class TestScenarioPaths:
     def test_domestic_near_no_car(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("sydney"))
         assert result.ok
@@ -23,7 +23,7 @@ class TestScenarioPaths:
         assert result.outputs["car_ref"] is None
 
     def test_domestic_far_needs_car(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("cairns"))
         assert result.ok
@@ -31,7 +31,7 @@ class TestScenarioPaths:
         assert result.outputs["car_ref"].startswith("CR-")
 
     def test_international_near_insured_no_car(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("paris"))
         assert result.ok
@@ -40,7 +40,7 @@ class TestScenarioPaths:
         assert result.outputs["car_ref"] is None
 
     def test_international_far_insured_with_car(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("tokyo"))
         assert result.ok
@@ -49,7 +49,7 @@ class TestScenarioPaths:
         assert result.outputs["car_ref"].startswith("CR-")
 
     def test_accommodation_booked_on_every_path(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         for destination in ("sydney", "cairns", "paris", "tokyo"):
             result = client.execute(*deployed.address, "arrangeTrip",
                                     travel_args(destination))
@@ -57,7 +57,7 @@ class TestScenarioPaths:
             assert result.outputs["accommodation"]["name"], destination
 
     def test_unknown_destination_faults_cleanly(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("atlantis"))
         assert result.status == "fault"
@@ -71,10 +71,10 @@ class TestArchitectureAgreement:
         "destination", ["sydney", "cairns", "paris", "tokyo"]
     )
     def test_same_outputs_both_architectures(self, travel, destination):
-        manager, deployed, client = travel
+        platform, deployed, client = travel
         central = deploy_central(
             build_travel_composite("TravelCentral"), "central-host",
-            manager.transport, manager.directory,
+            platform.transport, platform.directory,
         )
         p2p_result = client.execute(*deployed.address, "arrangeTrip",
                                     travel_args(destination))
@@ -95,24 +95,24 @@ class TestArchitectureAgreement:
 
 class TestCoordinationShape:
     def test_p2p_messages_flow_between_provider_hosts(self, travel):
-        manager, deployed, client = travel
-        manager.transport.stats.reset()
+        platform, deployed, client = travel
+        platform.transport.stats.reset()
         client.execute(*deployed.address, "arrangeTrip",
                        travel_args("tokyo"))
-        pairs = manager.transport.stats.by_pair
+        pairs = platform.transport.stats.by_pair
         # Direct peer notification: international flight host notifies the
         # insurance host without passing through the composite host.
         assert pairs[("host-globalwings", "host-suretravel")] >= 1
 
     def test_deployment_spans_provider_hosts(self, travel):
-        _manager, deployed, _client = travel
+        _platform, deployed, _client = travel
         hosts = deployed.deployment.hosts_used()
         assert "host-ausair" in hosts
         assert "host-suretravel" in hosts
         assert len(hosts) >= 6
 
     def test_execution_record_tracks_status(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         client.execute(*deployed.address, "arrangeTrip",
                        travel_args("sydney"))
         records = deployed.deployment.wrapper.records()
@@ -123,7 +123,7 @@ class TestCoordinationShape:
 
 class TestCommunityInTheLoop:
     def test_community_delegates_and_records_history(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         for _ in range(5):
             client.execute(*deployed.address, "arrangeTrip",
                            travel_args("sydney"))
@@ -133,11 +133,11 @@ class TestCommunityInTheLoop:
         assert sum(s["successes"] for s in snapshot.values()) == 5
 
     def test_member_failure_fails_over(self, travel):
-        manager, deployed, client = travel
+        platform, deployed, client = travel
         # Kill the two best members' hosts; community must fail over to
         # whatever remains.
-        manager.transport.fail_node("host-globalstay")
-        manager.transport.fail_node("host-sunlodge")
+        platform.transport.fail_node("host-globalstay")
+        platform.transport.fail_node("host-sunlodge")
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("sydney"),
                                 timeout_ms=600_000.0)
@@ -145,10 +145,10 @@ class TestCommunityInTheLoop:
         assert deployed.community_wrapper.failovers >= 1
 
     def test_all_members_dead_faults(self, travel):
-        manager, deployed, client = travel
+        platform, deployed, client = travel
         for host in ("host-globalstay", "host-sunlodge",
                      "host-budgetbeds"):
-            manager.transport.fail_node(host)
+            platform.transport.fail_node(host)
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("sydney"),
                                 timeout_ms=600_000.0)
@@ -160,7 +160,7 @@ class TestRequestAwareDelegation:
     """BudgetBeds only serves domestic destinations (member constraint)."""
 
     def test_international_bookings_never_use_budgetbeds(self, travel):
-        _manager, deployed, client = travel
+        _platform, deployed, client = travel
         for _ in range(6):
             result = client.execute(*deployed.address, "arrangeTrip",
                                     travel_args("paris"))
@@ -170,11 +170,11 @@ class TestRequestAwareDelegation:
             )
 
     def test_domestic_bookings_may_use_budgetbeds(self, travel):
-        manager, deployed, client = travel
+        platform, deployed, client = travel
         # kill the other two members: domestic requests must fall through
         # to BudgetBeds, international ones must fault
-        manager.transport.fail_node("host-sunlodge")
-        manager.transport.fail_node("host-globalstay")
+        platform.transport.fail_node("host-sunlodge")
+        platform.transport.fail_node("host-globalstay")
         domestic = client.execute(*deployed.address, "arrangeTrip",
                                   travel_args("sydney"),
                                   timeout_ms=600_000)

@@ -247,13 +247,6 @@ class TestLifecycle:
         assert not transport.node("h").has_endpoint(actor.endpoint_name)
         assert actor not in kernel.actors()
 
-    def test_v1_aliases(self, rig):
-        transport, kernel, actor = rig
-        actor.uninstall()
-        assert not actor.started
-        actor.install()
-        assert actor.started
-
     def test_duplicate_endpoint_still_rejected_across_actors(self, rig):
         transport, kernel, actor = rig
         twin = EchoActor("Echo", "h", transport, kernel=kernel)

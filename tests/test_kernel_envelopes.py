@@ -17,12 +17,7 @@ from repro.kernel import (
     envelope_type,
 )
 from repro.net.message import Message
-from repro.runtime.protocol import (
-    MessageKinds,
-    invoke_body,
-    invoke_result_body,
-    notify_body,
-)
+from repro.runtime.protocol import MessageKinds
 
 
 def protocol_verbs():
@@ -140,29 +135,3 @@ class TestCopySemantics:
     def test_none_timeout_omitted_from_wire(self):
         assert "timeout_ms" not in Execute(operation="op").to_body()
         assert "timeout_ms" in Execute(timeout_ms=5.0).to_body()
-
-
-class TestLegacyBodyHelpers:
-    """The v1 ``*_body`` helpers are thin delegates over the codecs."""
-
-    def test_notify_body_is_the_codec(self):
-        body = notify_body("e", "edge", "n", {"x": 1})
-        assert body == Notify(execution_id="e", edge_id="edge",
-                              from_node="n", env={"x": 1}).to_body()
-        assert Notify.from_body(body).edge_id == "edge"
-
-    def test_invoke_body_is_the_codec(self):
-        body = invoke_body("i", "e", "op", {"a": 1})
-        assert Invoke.from_body(body) == Invoke(
-            invocation_id="i", execution_id="e", operation="op",
-            arguments={"a": 1},
-        )
-
-    def test_invoke_result_body_is_the_codec(self):
-        assert invoke_result_body("i", "e", True, {"r": 1})["status"] == (
-            "success"
-        )
-        fault = InvokeResult.from_body(
-            invoke_result_body("i", "e", False, fault="boom")
-        )
-        assert not fault.ok and fault.fault == "boom"

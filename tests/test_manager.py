@@ -1,4 +1,5 @@
-"""ServiceManager facade tests."""
+"""Provider, composer and client flows on the Platform's own
+registration surface (``register_*``, editor drafts, session clients)."""
 
 import pytest
 
@@ -8,36 +9,36 @@ from repro.services.description import ParameterType
 
 
 class TestProviderFlows:
-    def test_register_elementary_deploys_and_publishes(self, manager):
-        manager.register_elementary(make_car_rental(), "h-cars")
-        assert manager.directory.knows("CarRental")
-        listing = manager.discovery.service_detail("CarRental")
+    def test_register_elementary_deploys_and_publishes(self, platform):
+        platform.register_elementary(make_car_rental(), "h-cars")
+        assert platform.directory.knows("CarRental")
+        listing = platform.discovery.service_detail("CarRental")
         assert listing.provider == "RoadRunner"
 
-    def test_register_without_publish(self, manager):
-        manager.register_elementary(make_car_rental(), "h-cars",
-                                    publish=False)
-        assert manager.directory.knows("CarRental")
+    def test_register_without_publish(self, platform):
+        platform.register_elementary(make_car_rental(), "h-cars",
+                                     publish=False)
+        assert platform.directory.knows("CarRental")
         with pytest.raises(DiscoveryError):
-            manager.discovery.service_detail("CarRental")
+            platform.discovery.service_detail("CarRental")
 
-    def test_register_community(self, manager):
+    def test_register_community(self, platform):
         from repro.demo.travel import build_accommodation_community
 
         community, members = build_accommodation_community()
         for member in members:
-            manager.register_elementary(member,
-                                        f"h-{member.name.lower()}")
-        manager.register_community(community, "h-alliance")
-        listing = manager.discovery.service_detail("AccommodationBooking")
+            platform.register_elementary(member,
+                                         f"h-{member.name.lower()}")
+        platform.register_community(community, "h-alliance")
+        listing = platform.discovery.service_detail("AccommodationBooking")
         assert listing.operations == ["bookAccommodation"]
 
 
 class TestComposerFlow:
-    def test_draft_deploy_execute(self, manager):
-        manager.register_elementary(make_attractions_search(),
-                                    "h-sights")
-        draft = manager.new_draft("SightTrip", provider="Tours")
+    def test_draft_deploy_execute(self, platform):
+        platform.register_elementary(make_attractions_search(),
+                                     "h-sights")
+        draft = platform.editor.new_draft("SightTrip", provider="Tours")
         canvas = draft.operation(
             "plan",
             inputs=["destination"],
@@ -49,10 +50,9 @@ class TestComposerFlow:
                      outputs={"major_attraction": "major_attraction"})
                .final()
                .chain("initial", "AS", "final"))
-        deployment = manager.deploy_composite(draft, "h-tours")
-        result = manager.locate_and_execute(
-            "u", "u-host", "SightTrip", "plan",
-            {"destination": "paris"},
+        deployment = platform.deploy_composite(draft, "h-tours")
+        result = platform.session("u", "u-host").execute(
+            "SightTrip", "plan", {"destination": "paris"},
         )
         assert result.ok
         assert result.outputs["major_attraction"]["name"] == (
@@ -60,133 +60,34 @@ class TestComposerFlow:
         )
         assert deployment.coordinator_count() == 3
 
-    def test_deploy_composite_without_publish(self, manager):
-        manager.register_elementary(make_attractions_search(),
-                                    "h-sights")
-        draft = manager.new_draft("Quiet", provider="Tours")
+    def test_deploy_composite_without_publish(self, platform):
+        platform.register_elementary(make_attractions_search(),
+                                     "h-sights")
+        draft = platform.editor.new_draft("Quiet", provider="Tours")
         canvas = draft.operation("plan", inputs=["destination"])
         (canvas.initial()
                .task("AS", "AttractionsSearch", "searchAttractions",
                      inputs={"destination": "destination"})
                .final()
                .chain("initial", "AS", "final"))
-        manager.deploy_composite(draft, "h-tours", publish=False)
-        assert manager.directory.knows("Quiet")
+        platform.deploy_composite(draft, "h-tours", publish=False)
+        assert platform.directory.knows("Quiet")
         with pytest.raises(DiscoveryError):
-            manager.discovery.service_detail("Quiet")
+            platform.discovery.service_detail("Quiet")
 
 
 class TestClients:
-    def test_client_cached_by_name(self, manager):
-        a = manager.client("alice", "h1")
-        b = manager.client("alice", "h1")
+    def test_client_cached_by_name(self, platform):
+        a = platform.session("alice", "h1").client
+        b = platform.session("alice", "h1").client
         assert a is b
 
-    def test_clients_distinct_by_name(self, manager):
-        a = manager.client("alice", "h1")
-        b = manager.client("bob", "h1")
+    def test_clients_distinct_by_name(self, platform):
+        a = platform.session("alice", "h1").client
+        b = platform.session("bob", "h1").client
         assert a is not b
         assert a.endpoint_name != b.endpoint_name
 
-    def test_client_node_created_on_demand(self, manager):
-        manager.client("carol", "brand-new-host")
-        assert manager.transport.has_node("brand-new-host")
-
-
-class TestDeprecation:
-    def test_constructing_servicemanager_warns(self):
-        from repro.manager import ServiceManager
-        from repro.net.simnet import SimTransport
-
-        with pytest.warns(DeprecationWarning,
-                          match="ServiceManager is deprecated"):
-            manager = ServiceManager(SimTransport())
-        # The shim stays fully functional after warning.
-        assert manager.platform is not None
-        assert manager.transport is manager.platform.transport
-
-    def test_shim_surfaces_are_the_platforms_own(self):
-        """Pure delegation: every module surface IS the platform's."""
-        from repro.manager import ServiceManager
-        from repro.net.simnet import SimTransport
-
-        with pytest.warns(DeprecationWarning):
-            manager = ServiceManager(SimTransport())
-        for surface in ("transport", "directory", "deployer",
-                        "discovery", "editor", "kernel"):
-            assert getattr(manager, surface) is (
-                getattr(manager.platform, surface)
-            ), f"shim must not duplicate the {surface} wiring"
-        with pytest.raises(AttributeError):
-            manager.not_a_surface
-
-    @staticmethod
-    def _deploy_small_composite(facade, new_draft, deploy):
-        """Build + deploy the same two-task composite on any facade."""
-        from repro.demo.providers import (
-            make_attractions_search,
-            make_car_rental,
-        )
-
-        facade.register_elementary(make_attractions_search(), "h-sights")
-        facade.register_elementary(make_car_rental(), "h-cars")
-        draft = new_draft("ParityTrip")
-        canvas = draft.operation(
-            "plan",
-            inputs=["customer", "destination"],
-            outputs=[("major_attraction", ParameterType.RECORD),
-                     ("car_ref", ParameterType.STRING)],
-        )
-        (canvas.initial()
-               .task("AS", "AttractionsSearch", "searchAttractions",
-                     inputs={"destination": "destination"},
-                     outputs={"major_attraction": "major_attraction"})
-               .task("CR", "CarRental", "rentCar",
-                     inputs={"customer": "customer",
-                             "destination": "destination"},
-                     outputs={"car_ref": "car_ref"})
-               .final()
-               .chain("initial", "AS", "CR", "final"))
-        return deploy(draft, "h-tours")
-
-    def test_shim_behavioural_parity_with_platform(self):
-        """The v1 shim and the v2 Platform produce identical outcomes
-        for the same composite — same outputs, same topology."""
-        from repro.api import Platform, PlatformConfig
-        from repro.manager import ServiceManager
-        from repro.net.latency import FixedLatency
-        from repro.net.simnet import SimTransport
-
-        def fresh_transport():
-            return SimTransport(latency=FixedLatency(remote_ms=5.0))
-
-        with pytest.warns(DeprecationWarning):
-            shim = ServiceManager(fresh_transport())
-        shim_deployment = self._deploy_small_composite(
-            shim, shim.new_draft, shim.deploy_composite,
-        )
-        shim_result = shim.locate_and_execute(
-            "u", "u-host", "ParityTrip", "plan",
-            {"customer": "Alice", "destination": "paris"},
-        )
-
-        platform = Platform(PlatformConfig(
-            latency=FixedLatency(remote_ms=5.0), trace=False,
-        ))
-        platform_deployment = self._deploy_small_composite(
-            platform,
-            lambda name: platform.editor.new_draft(name),
-            platform.deploy_composite,
-        )
-        platform_result = platform.session("u", "u-host").execute(
-            "ParityTrip", "plan",
-            {"customer": "Alice", "destination": "paris"},
-        )
-
-        assert shim_result.ok and platform_result.ok
-        assert shim_result.outputs == platform_result.outputs
-        assert shim_result.status == platform_result.status
-        assert (shim_deployment.coordinator_count()
-                == platform_deployment.coordinator_count())
-        assert (sorted(shim_deployment.hosts_used())
-                == sorted(platform_deployment.hosts_used()))
+    def test_client_node_created_on_demand(self, platform):
+        platform.session("carol", "brand-new-host")
+        assert platform.transport.has_node("brand-new-host")

@@ -8,16 +8,16 @@ from tests.conftest import travel_args
 
 
 @pytest.fixture
-def traced(manager):
-    deployed = deploy_travel_scenario(manager.deployer)
-    tracer = ExecutionTracer(manager.transport).attach()
-    client = manager.client("tester", "tester-host")
-    return manager, deployed, tracer, client
+def traced(platform):
+    deployed = deploy_travel_scenario(platform.deployer)
+    tracer = ExecutionTracer(platform.transport).attach()
+    client = platform.session("tester", "tester-host").client
+    return platform, deployed, tracer, client
 
 
 class TestTracer:
     def test_timeline_reconstructed(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("sydney"))
         assert result.ok
@@ -28,7 +28,7 @@ class TestTracer:
         assert timeline.duration_ms > 0
 
     def test_services_invoked_match_the_path(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         client.execute(*deployed.address, "arrangeTrip",
                        travel_args("tokyo"))
         invoked = tracer.timelines()[0].services_invoked()
@@ -41,7 +41,7 @@ class TestTracer:
         assert "rentCar" in invoked
 
     def test_near_path_has_no_car(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         client.execute(*deployed.address, "arrangeTrip",
                        travel_args("sydney"))
         invoked = tracer.timelines()[0].services_invoked()
@@ -49,7 +49,7 @@ class TestTracer:
         assert "insure" not in invoked
 
     def test_states_fired_traces_the_path(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         client.execute(*deployed.address, "arrangeTrip",
                        travel_args("cairns"))
         states = tracer.timelines()[0].states_fired()
@@ -58,7 +58,7 @@ class TestTracer:
         assert "trip/r0/ITA/IFB" not in states
 
     def test_hosts_touched(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         client.execute(*deployed.address, "arrangeTrip",
                        travel_args("paris"))
         hosts = tracer.timelines()[0].hosts_touched()
@@ -66,14 +66,14 @@ class TestTracer:
         assert "host-suretravel" in hosts
 
     def test_fault_outcome_traced(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         result = client.execute(*deployed.address, "arrangeTrip",
                                 travel_args("atlantis"))
         assert result.status == "fault"
         assert tracer.timelines()[0].outcome == "fault"
 
     def test_render_is_readable(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         client.execute(*deployed.address, "arrangeTrip",
                        travel_args("sydney"))
         rendered = tracer.timelines()[0].render()
@@ -82,16 +82,16 @@ class TestTracer:
         assert "+" in rendered
 
     def test_detach_stops_observation(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         tracer.detach()
         client.execute(*deployed.address, "arrangeTrip",
                        travel_args("sydney"))
         assert tracer.timelines() == []
 
-    def test_context_manager(self, manager):
-        deployed = deploy_travel_scenario(manager.deployer)
-        client = manager.client("tester", "tester-host")
-        with ExecutionTracer(manager.transport) as tracer:
+    def test_context_manager(self, platform):
+        deployed = deploy_travel_scenario(platform.deployer)
+        client = platform.session("tester", "tester-host").client
+        with ExecutionTracer(platform.transport) as tracer:
             client.execute(*deployed.address, "arrangeTrip",
                            travel_args("sydney"))
             assert len(tracer.timelines()) == 1
@@ -100,7 +100,7 @@ class TestTracer:
         assert len(tracer.timelines()) == 1  # not observing any more
 
     def test_concurrent_executions_separated(self, traced):
-        _manager, deployed, tracer, client = traced
+        _platform, deployed, tracer, client = traced
         node, endpoint = deployed.address
         for destination in ("sydney", "paris", "cairns"):
             client.submit(node, endpoint, "arrangeTrip",
@@ -109,13 +109,13 @@ class TestTracer:
         assert len(tracer.timelines()) == 3
         assert all(t.outcome == "success" for t in tracer.timelines())
 
-    def test_tracing_does_not_change_outcomes(self, manager):
+    def test_tracing_does_not_change_outcomes(self, platform):
         """Passive observation: identical results with and without."""
-        deployed = deploy_travel_scenario(manager.deployer)
-        client = manager.client("tester", "tester-host")
+        deployed = deploy_travel_scenario(platform.deployer)
+        client = platform.session("tester", "tester-host").client
         bare = client.execute(*deployed.address, "arrangeTrip",
                               travel_args("tokyo"))
-        with ExecutionTracer(manager.transport):
+        with ExecutionTracer(platform.transport):
             traced = client.execute(*deployed.address, "arrangeTrip",
                                     travel_args("tokyo"))
         assert bare.outputs["flight_ref"] == traced.outputs["flight_ref"]

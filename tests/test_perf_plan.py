@@ -1,10 +1,9 @@
-"""Compiled routing plans: structure, deployer wiring, and equivalence.
+"""Compiled routing plans: structure, deployer wiring, and pinned traffic.
 
-The fast path must be *invisible* semantically: a composite deployed
-with compiled dispatch structures executes identically to one deployed
-on the seed derive-per-firing path — same results, same message counts,
-same traces.  These tests pin that equivalence plus the structural
-contract of :func:`repro.perf.compile_routing_plan`.
+Coordinators always run from the deploy-time compiled plan.  These tests
+pin the structural contract of :func:`repro.perf.compile_routing_plan`
+and the exact traffic and virtual time of the travel scenario on that
+path.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import pytest
 from repro.api import Platform, PlatformConfig
 from repro.demo.travel import deploy_travel_scenario
 from repro.exceptions import RoutingError
-from repro.perf import PerfConfig, compile_dispatch, compile_routing_plan
+from repro.perf import compile_routing_plan
 from repro.routing.generation import generate_routing_tables
 from repro.runtime.protocol import coordinator_endpoint
 from repro.statecharts.builder import StatechartBuilder
@@ -109,36 +108,23 @@ class TestDeployerIntegration:
             deployment.composite.operations()
         )
         for operation, plan in deployment.plans.items():
-            assert plan is not None
             assert set(plan.dispatches) == set(deployment.tables[operation])
 
-    def test_compile_plans_off_leaves_no_plans(self):
-        config = PlatformConfig(perf=PerfConfig.disabled())
-        platform = Platform(config)
+    def test_travel_traffic_is_pinned(self):
+        """Four trips: every message delivered, clock at a fixed time."""
+        platform = Platform(PlatformConfig())
         deployed = deploy_travel_scenario(platform.deployer)
-        assert all(
-            plan is None for plan in deployed.deployment.plans.values()
-        )
-
-    def test_compiled_and_seed_paths_execute_identically(self):
-        """Same scenario, same seed: identical outputs and traffic."""
-        outcomes = []
-        for perf in (PerfConfig(), PerfConfig.disabled()):
-            platform = Platform(PlatformConfig(perf=perf))
-            deployed = deploy_travel_scenario(platform.deployer)
-            session = platform.session("alice", "alice-laptop")
-            results = session.gather(session.submit_many([
-                (deployed.deployment, "arrangeTrip", {
-                    "customer": "Alice", "destination": destination,
-                    "departure_date": "2026-08-01",
-                    "return_date": "2026-08-08",
-                })
-                for destination in ("sydney", "cairns", "paris", "tokyo")
-            ]))
-            assert all(r.ok for r in results)
-            outcomes.append((
-                [tuple(sorted(r.outputs.items())) for r in results],
-                platform.transport.stats.sent_total,
-                platform.transport.stats.delivered_total,
-            ))
-        assert outcomes[0] == outcomes[1]
+        session = platform.session("alice", "alice-laptop")
+        results = session.gather(session.submit_many([
+            (deployed.deployment, "arrangeTrip", {
+                "customer": "Alice", "destination": destination,
+                "departure_date": "2026-08-01",
+                "return_date": "2026-08-08",
+            })
+            for destination in ("sydney", "cairns", "paris", "tokyo")
+        ]))
+        assert [r.status for r in results] == ["success"] * 4
+        assert platform.transport.stats.sent_total == 114
+        assert platform.transport.stats.delivered_total == 114
+        assert platform.now_ms() == pytest.approx(243.0829143082856,
+                                                  abs=1e-9)

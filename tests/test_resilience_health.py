@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel.envelopes import Invoke, InvokeResult
 from repro.net.message import Message
 from repro.net.simnet import SimTransport
 from repro.resilience import (
@@ -14,8 +15,6 @@ from repro.resilience import (
 from repro.runtime.protocol import (
     MessageKinds,
     client_endpoint,
-    invoke_body,
-    invoke_result_body,
     wrapper_endpoint,
 )
 
@@ -112,13 +111,11 @@ class TestPercentilesAndOrdering:
         health.forget_invocation("i1")
         health.record_failure("M0", 100.0, now_ms=100.0)
         # ... so the straggling result is a no-op, not a success.
-        from repro.net.message import Message
-        from repro.runtime.protocol import invoke_result_body
         health.observe(Message(
             kind=MessageKinds.INVOKE_RESULT,
             source="m", source_endpoint=wrapper_endpoint("M0"),
             target="c", target_endpoint=wrapper_endpoint("Pool"),
-            body=invoke_result_body("i1", "e1", ok=True),
+            body=InvokeResult.outcome("i1", "e1", ok=True).to_body(),
         ), 150.0)
         stats = health.health("M0")
         assert stats.successes == 0
@@ -141,7 +138,8 @@ class TestPassiveTransportTap:
             kind=MessageKinds.INVOKE,
             source="caller", source_endpoint=wrapper_endpoint("Community"),
             target="provider", target_endpoint=wrapper_endpoint("M0"),
-            body=invoke_body(invocation_id, "e1", "op", {}),
+            body=Invoke(invocation_id=invocation_id, execution_id="e1",
+                        operation="op").to_body(),
         ))
 
         def reply():
@@ -149,7 +147,8 @@ class TestPassiveTransportTap:
                 kind=MessageKinds.INVOKE_RESULT,
                 source="provider", source_endpoint=wrapper_endpoint("M0"),
                 target="caller", target_endpoint=wrapper_endpoint("Community"),
-                body=invoke_result_body(invocation_id, "e1", ok=ok),
+                body=InvokeResult.outcome(invocation_id, "e1",
+                                          ok=ok).to_body(),
             ))
 
         transport.schedule("provider", reply_after_ms, reply)
@@ -175,7 +174,8 @@ class TestPassiveTransportTap:
             kind=MessageKinds.INVOKE,
             source="caller", source_endpoint=wrapper_endpoint("Community"),
             target="provider", target_endpoint=wrapper_endpoint("M0"),
-            body=invoke_body("lost", "e9", "op", {}),
+            body=Invoke(invocation_id="lost", execution_id="e9",
+                        operation="op").to_body(),
         ))
         # A non-wrapper endpoint contributes nothing.
         transport.node("provider").register(client_endpoint("u"), lambda m: None)
@@ -183,7 +183,8 @@ class TestPassiveTransportTap:
             kind=MessageKinds.INVOKE,
             source="caller", source_endpoint=wrapper_endpoint("Community"),
             target="provider", target_endpoint=client_endpoint("u"),
-            body=invoke_body("i3", "e3", "op", {}),
+            body=Invoke(invocation_id="i3", execution_id="e3",
+                        operation="op").to_body(),
         ))
         transport.run_until_idle()
         assert health.health("M0").attempts == 0

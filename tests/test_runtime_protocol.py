@@ -3,14 +3,12 @@
 import pytest
 
 from repro.exceptions import DeploymentError
+from repro.kernel.envelopes import Invoke, InvokeResult, Notify
 from repro.runtime.directory import ServiceDirectory
 from repro.runtime.protocol import (
     ExecutionResult,
     client_endpoint,
     coordinator_endpoint,
-    invoke_body,
-    invoke_result_body,
-    notify_body,
     wrapper_endpoint,
 )
 
@@ -30,25 +28,28 @@ class TestEndpointNaming:
 
 
 class TestBodies:
-    def test_notify_body_copies_env(self):
+    def test_notify_envelope_copies_env(self):
         env = {"x": 1}
-        body = notify_body("e1", "edge", "n", env)
+        body = Notify(execution_id="e1", edge_id="edge", from_node="n",
+                      env=env).to_body()
         env["x"] = 2
         assert body["env"]["x"] == 1
 
-    def test_invoke_body_fields(self):
-        body = invoke_body("i1", "e1", "op", {"a": 1})
+    def test_invoke_envelope_fields(self):
+        body = Invoke(invocation_id="i1", execution_id="e1",
+                      operation="op", arguments={"a": 1}).to_body()
         assert body["invocation_id"] == "i1"
         assert body["operation"] == "op"
         assert body["arguments"] == {"a": 1}
 
     def test_invoke_result_success(self):
-        body = invoke_result_body("i1", "e1", True, {"r": 2})
+        body = InvokeResult.outcome("i1", "e1", True, {"r": 2}).to_body()
         assert body["status"] == "success"
         assert body["outputs"] == {"r": 2}
 
     def test_invoke_result_fault(self):
-        body = invoke_result_body("i1", "e1", False, fault="boom")
+        body = InvokeResult.outcome("i1", "e1", False,
+                                    fault="boom").to_body()
         assert body["status"] == "fault"
         assert body["fault"] == "boom"
 
