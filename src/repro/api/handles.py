@@ -198,19 +198,11 @@ class Session:
         self.host = host
         # Fleet mode: one client endpoint per shard the session talks
         # to, created lazily by route() — there is no fleet-wide
-        # transport to install a single client on.  The lock covers
-        # concurrent first-use from shard pump threads (open-loop
-        # harnesses submit from scheduled callbacks).
+        # transport to install a single client on.
         self._shard_clients: Dict[int, RuntimeClient] = {}
-        self._shard_clients_lock = threading.Lock()
-        if platform.fleet is None:
-            platform.ensure_node(host)
-            self.client: Optional[RuntimeClient] = RuntimeClient(
-                name, host, platform.transport, kernel=platform.kernel
-            )
-            self.client.start()
-        else:
-            self.client = None
+        self.client: Optional[RuntimeClient] = (
+            self.open_client(platform) if platform.fleet is None else None
+        )
         # In-flight handles only: entries leave on result delivery, so a
         # long-lived session does not accumulate finished executions.
         # The lock covers the register/complete race on the threaded
@@ -244,20 +236,28 @@ class Session:
         """
         return self._client_for(self.resolve(target))
 
+    def open_client(self, platform: Any) -> RuntimeClient:
+        """A started client endpoint for this session on ``platform``.
+
+        ``platform`` is a classic platform: the session's own, one
+        fleet shard, or the fresh platform a recovery rebuilt.
+        """
+        platform.ensure_node(self.host)
+        client = RuntimeClient(self.name, self.host, platform.transport,
+                               kernel=platform.kernel)
+        client.start()
+        return client
+
     def _client_for(self, binding: ResolvedBinding) -> RuntimeClient:
         fleet = self.platform.fleet
         if fleet is None:
             return self.client
-        shard = fleet.shard_of_service(binding.service)
-        with self._shard_clients_lock:
-            client = self._shard_clients.get(shard.shard_id)
-            if client is None:
-                shard.ensure_node(self.host)
-                client = RuntimeClient(self.name, self.host,
-                                       shard.transport, kernel=shard.kernel)
-                client.start()
-                self._shard_clients[shard.shard_id] = client
-            return client
+        shard_id = fleet.directory.shard_of(binding.service)
+        client = self._shard_clients.get(shard_id)
+        if client is None:
+            client = self.open_client(fleet.shards[shard_id])
+            self._shard_clients[shard_id] = client
+        return client
 
     def _timeout(self, timeout_ms: Any) -> Optional[float]:
         if timeout_ms is _UNSET:

@@ -118,13 +118,7 @@ class Platform:
         if self.config.durability is not None:
             from repro.durability.runtime import ShardDurability
 
-            self.durability = ShardDurability(self.config.durability)
-            self.durability.attach(
-                transport=self.transport,
-                kernel=self.kernel,
-                deployer=self.deployer,
-                engine=self.discovery,
-            )
+            ShardDurability(self.config.durability).attach(self)
         self._sessions: Dict[str, Session] = {}
 
     def _init_fleet(self, transport: Optional[Transport]) -> None:
@@ -139,6 +133,8 @@ class Platform:
                 "transport instance cannot be sharded — drop transport= "
                 "or drop PlatformConfig.fleet"
             )
+        # This check also keeps all fleet code single-threaded: every
+        # shard is a simulator that only the caller's pump advances.
         if self.config.transport != "sim":
             raise SelfServError(
                 f"fleet mode requires the simulated transport, got "
@@ -214,8 +210,7 @@ class Platform:
 
         The single blocking primitive sessions and handles use: on the
         classic platform it delegates to the transport; in fleet mode
-        it pumps every shard through the
-        :class:`~repro.fleet.FleetScheduler` worker threads.
+        it pumps every shard in turn on the calling thread.
         """
         if self.fleet is not None:
             return self.fleet.wait_for(predicate, timeout_ms=timeout_ms)

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter, deque
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.durability.dedup import canonical_send_key
 from repro.durability.snapshot import restore_state
 from repro.exceptions import DurabilityError
 from repro.net.message import Message
-from repro.runtime.client import RuntimeClient
 
 
 @dataclasses.dataclass
@@ -192,79 +191,65 @@ def _record_key(record) -> str:
 
 def recover_attached(
     dur,
-    transport,
-    kernel,
+    platform,
+    redeploy: "Callable[[], int]",
     rebind: "Optional[Callable[[], None]]" = None,
-) -> ReplayReport:
-    """Run a full recovery against an already-attached fresh runtime.
+) -> "Tuple[ReplayReport, SendGate]":
+    """Run a full recovery on a fresh platform ``dur`` is attached to.
 
-    ``rebind`` runs after redeploy+restore and before replay: session
-    clients must exist on the fresh kernel so replayed ``ExecuteResult``
-    deliveries complete their handles.
+    The one recovery sequence (classic, fleet shard, wire shard
+    process): begin -> ``redeploy`` -> restore the latest snapshot ->
+    ``rebind`` -> replay the WAL -> finish.  ``redeploy`` rebuilds the
+    topology on ``platform`` and returns how many deployments it made
+    (the journal replay in-process; a spec-driven rebuild in a fresh
+    OS process, which has no live objects to replay).  ``rebind`` runs
+    before replay: session clients must exist on the fresh kernel so
+    replayed ``ExecuteResult`` deliveries complete their handles.
+
+    Returns the report and the installed :class:`SendGate`, which a
+    cross-process caller seals once the platform is quiescent.
     """
     report = ReplayReport()
     dur.begin_recovery()
     try:
-        report.redeployed = dur.journal.redeploy(dur.deployer, dur.engine)
+        report.redeployed = redeploy()
         snapshot = dur.snapshots.latest()
         if snapshot is not None:
             snapshot_id, state = snapshot
-            directory = (
-                dur.deployer.directory if dur.deployer is not None else None
-            )
-            registry = dur.engine.registry if dur.engine is not None else None
             restore_state(
-                kernel, dur.effects, state,
-                directory=directory, registry=registry,
+                platform.kernel, dur.effects, state,
+                directory=platform.directory,
+                registry=platform.discovery.registry,
             )
             report.snapshot_id = snapshot_id
         if rebind is not None:
             rebind()
-        replay_wal(dur, transport, kernel, report)
+        gate = replay_wal(dur, platform.transport, platform.kernel, report)
     finally:
         dur.finish_recovery()
-    return report
+    return report, gate
 
 
-def migrate_client(old, new, sessions) -> int:
-    """Move completed-set and in-flight callbacks from a dead client.
+def rebind_client(session, platform, old):
+    """A new client for ``session`` on ``platform`` that inherits ``old``.
 
-    Handles bound to ``old`` are re-pointed at ``new`` and their
-    result callbacks re-registered, so a composition that finishes
-    after recovery still completes the original handle.
+    The new client takes over the dead one's completed set, and every
+    handle of ``session`` bound to ``old`` is re-pointed at it with its
+    result callback re-registered, so a composition that finishes after
+    recovery still completes the original handle.  Returns the new
+    client; the caller files it where ``old`` was (the classic
+    session's client, or the fleet session's entry for the recovered
+    shard).
     """
-    moved = 0
-    if old is None:
-        return moved
+    new = session.open_client(platform)
     new._completed = set(old._completed)
     new._completed_order = deque(old._completed_order)
-    for session in sessions:
-        with session._inflight_lock:
-            for key, handle in session._inflight.items():
-                if handle._client is old:
-                    new._callbacks[key] = handle._deliver
-                    handle.client = new
-                    moved += 1
-    return moved
-
-
-def rebind_fleet_sessions(sessions, shard_id: int, slice_) -> int:
-    """Re-point every session's client for ``shard_id`` at a new slice."""
-    moved = 0
-    for session in sessions:
-        with session._shard_clients_lock:
-            old = session._shard_clients.get(shard_id)
-            if old is None:
-                continue
-            new = RuntimeClient(
-                session.name, session.host,
-                slice_.transport, kernel=slice_.kernel,
-            )
-            slice_.ensure_node(session.host)
-            new.start()
-            session._shard_clients[shard_id] = new
-        moved += migrate_client(old, new, [session])
-    return moved
+    with session._inflight_lock:
+        for key, handle in session._inflight.items():
+            if handle._client is old:
+                new._callbacks[key] = handle._deliver
+                handle.client = new
+    return new
 
 
 def recover_platform(crashed):
@@ -292,28 +277,16 @@ def recover_platform(crashed):
     config = dataclasses.replace(crashed.config, durability=None)
     fresh = Platform(config)
     fresh.config = crashed.config
-    dur.attach(
-        transport=fresh.transport,
-        kernel=fresh.kernel,
-        deployer=fresh.deployer,
-        engine=fresh.discovery,
-    )
-    fresh.durability = dur
+    dur.attach(fresh)
 
     def rebind() -> None:
-        for session in list(crashed._sessions.values()):
-            old = session.client
+        for session in crashed.sessions():
             session.platform = fresh
-            fresh.ensure_node(session.host)
-            new = RuntimeClient(
-                session.name, session.host,
-                fresh.transport, kernel=fresh.kernel,
-            )
-            new.start()
-            migrate_client(old, new, [session])
-            session.client = new
+            session.client = rebind_client(session, fresh, session.client)
             fresh._sessions[session.name] = session
 
-    report = recover_attached(dur, fresh.transport, fresh.kernel,
-                              rebind=rebind)
+    report, _gate = recover_attached(
+        dur, fresh, redeploy=lambda: dur.journal.redeploy(fresh),
+        rebind=rebind,
+    )
     return fresh, report

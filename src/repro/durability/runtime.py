@@ -4,8 +4,8 @@ One instance owns everything durable about one shard — or about a
 whole classic platform, which recovery-wise is just a one-shard fleet:
 the WAL segment store, the snapshot store, the effect ledger, the
 deployment journal, and the kernel middleware that taps deliveries
-into the log.  The bundle outlives the runtime it is attached to: a
-crash throws the kernel/transport away, recovery builds fresh ones and
+into the log.  The bundle outlives the platform it is attached to: a
+crash throws the platform away, recovery builds a fresh one and
 re-attaches the same bundle.
 
 The deployment journal is deliberately in-memory: it models reloading
@@ -58,8 +58,9 @@ class DeploymentJournal:
     def record_publish(self, description, category: str, contact: str) -> None:
         self._entries.append(("publish", (description, category, contact)))
 
-    def redeploy(self, deployer, engine) -> int:
-        """Replay every entry against a fresh deployer/engine."""
+    def redeploy(self, platform) -> int:
+        """Replay every entry against a fresh platform."""
+        deployer, engine = platform.deployer, platform.discovery
         for kind, payload in self._entries:
             if kind == "elementary":
                 service, host, rng_state = payload
@@ -106,24 +107,22 @@ class ShardDurability:
         self.middleware = DurabilityMiddleware(self.wal)
         self.crashed = False
         self.recovering = False
-        # Attached runtime (replaced wholesale on recovery).
-        self.transport = None
-        self.kernel = None
-        self.deployer = None
-        self.engine = None
+        #: The attached platform (replaced wholesale on recovery).
+        self.platform = None
 
     # Wiring ----------------------------------------------------------------
 
-    def attach(self, transport, kernel, deployer, engine) -> "ShardDurability":
-        """Hook this bundle into a (fresh or original) runtime."""
-        self.transport = transport
-        self.kernel = kernel
-        self.deployer = deployer
-        self.engine = engine
-        kernel.add_middleware(self.middleware)
-        deployer.durability = self
-        if engine is not None:
-            engine.on_publish = self._on_publish
+    def attach(self, platform) -> "ShardDurability":
+        """Hook this bundle into a (fresh or original) classic platform.
+
+        The one place durability meets a runtime: a classic platform,
+        a fleet shard and a wire shard process all come through here.
+        """
+        self.platform = platform
+        platform.kernel.add_middleware(self.middleware)
+        platform.deployer.durability = self
+        platform.discovery.on_publish = self._on_publish
+        platform.durability = self
         self.crashed = False
         return self
 
@@ -134,7 +133,7 @@ class ShardDurability:
     # Snapshots -------------------------------------------------------------
 
     def quiescent(self) -> "Tuple[bool, str]":
-        return quiescent(self.transport, self.kernel)
+        return quiescent(self.platform.transport, self.platform.kernel)
 
     def take_snapshot(self) -> int:
         """Snapshot at a quiescent barrier and truncate the WAL."""
@@ -143,11 +142,11 @@ class ShardDurability:
             raise DurabilityError(
                 f"cannot snapshot a non-quiescent shard: {reason}"
             )
-        directory = getattr(self.deployer, "directory", None)
-        registry = getattr(self.engine, "registry", None)
+        platform = self.platform
         state = capture_state(
-            self.kernel, self.effects,
-            directory=directory, registry=registry,
+            platform.kernel, self.effects,
+            directory=platform.directory,
+            registry=platform.discovery.registry,
         )
         snapshot_id = self.snapshots.take(state)
         # The snapshot is durable (fsynced before rename); everything in

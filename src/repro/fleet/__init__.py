@@ -3,18 +3,21 @@
 The paper's central claim is that peer-to-peer orchestration scales
 where a central engine saturates.  This package builds the scale-out
 into the runtime: a platform configured with a
-:class:`FleetConfig` becomes N share-nothing *shards* — each with its
-own simulated transport (own deterministic clock), service directory,
-UDDI registry, actor kernel and deployer — stitched together by
+:class:`FleetConfig` becomes N share-nothing *shards* — each one a
+classic single-shard :class:`~repro.api.platform.Platform` on its own
+simulated transport (own deterministic clock), with its own service
+directory, UDDI registry, actor kernel and deployer — stitched together
+by
 
 * :class:`ShardMap` — consistent hashing of services/communities onto
   shards, stable under membership changes,
-* :class:`FleetDirectory` / :class:`FleetRegistry` — shard-local
-  directories and registries behind the familiar control-plane APIs,
+* :class:`FleetDirectory` / :class:`FleetRegistry` — live views of the
+  shards' directories and registries behind the familiar control-plane
+  APIs,
 * :class:`FleetDiscovery` — cross-shard ``locate()`` fan-out with a
   fleet-level generation-invalidated cache,
-* :class:`FleetScheduler` — one mailbox pump per shard on real worker
-  threads, per-shard locks preserving in-shard determinism,
+* :class:`FleetRuntime` — the shard-id -> platform mapping and the one
+  serial pump that advances every shard on the calling thread,
 * :class:`FleetDeployer` — shard-aware deployment with explicit
   ``shard=`` / ``affinity=`` routing overrides.
 
@@ -35,7 +38,6 @@ from repro.fleet.harness import (
     run_fleet_open_loop,
 )
 from repro.fleet.runtime import FleetDeployer, FleetRuntime
-from repro.fleet.scheduler import FleetScheduler, ShardSlice
 from repro.fleet.shardmap import ShardMap
 
 __all__ = [
@@ -47,9 +49,7 @@ __all__ = [
     "FleetRegistry",
     "FleetRunReport",
     "FleetRuntime",
-    "FleetScheduler",
     "ShardMap",
-    "ShardSlice",
     "build_fleet_chains",
     "percentile",
     "run_fleet_open_loop",

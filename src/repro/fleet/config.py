@@ -1,11 +1,13 @@
 """Declarative configuration of the sharded scale-out layer.
 
 A :class:`FleetConfig` on :attr:`repro.api.PlatformConfig.fleet` turns a
-platform into a fleet of ``shards`` share-nothing slices.  Each slice
-gets its own simulated transport (with an independent random stream
-forked from the fleet seed), its own service directory, UDDI registry
-and actor kernel — the partitioning the paper's scale argument calls
-for, built into the runtime rather than bolted onto benchmarks.
+platform into a fleet of ``shards`` share-nothing shards.  Each shard is
+a classic single-shard :class:`~repro.api.platform.Platform` on its own
+simulated transport (with an independent random stream forked from the
+fleet seed), so it has its own service directory, UDDI registry and
+actor kernel — the partitioning the paper's scale argument calls for,
+built into the runtime rather than bolted onto benchmarks.  All shards
+are pumped serially on the calling thread.
 """
 
 from __future__ import annotations
@@ -29,11 +31,6 @@ class FleetConfig:
     #: mean a more even key split and smaller movement on membership
     #: changes, at a small ring-build cost.
     virtual_nodes: int = 64
-    #: Run shard pumps on real worker threads (one per shard) so
-    #: multi-shard runs progress in parallel wall-clock time.  ``False``
-    #: pumps shards round-robin on the calling thread — same results
-    #: (shards are share-nothing and each is deterministic), no threads.
-    parallel: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 1:

@@ -1,9 +1,9 @@
 """The fleet's name-to-location layer: shard-local directories, fanned out.
 
-Each shard owns a plain :class:`~repro.runtime.directory.ServiceDirectory`
-(the deployer on that shard registers into it directly, coordinators on
-that shard resolve through it locally — nothing on the per-message hot
-path changes).  The :class:`FleetDirectory` is the *control-plane* view
+Each shard platform owns a plain
+:class:`~repro.runtime.directory.ServiceDirectory` (the deployer on that
+shard registers into it directly, coordinators on that shard resolve
+through it locally — nothing on the per-message hot path changes).  The :class:`FleetDirectory` is the *control-plane* view
 over all of them: it exposes the same resolve/knows/services surface, so
 code written against one directory works against a fleet, and answers
 the routing question the single-shard world never had — *which shard is
@@ -17,42 +17,40 @@ with an explicit shard override or an affinity key.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import DeploymentError
 from repro.fleet.shardmap import ShardMap
 from repro.runtime.directory import ServiceDirectory
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.api.platform import Platform
+
 
 class FleetDirectory:
-    """A :class:`ServiceDirectory`-shaped view over per-shard directories."""
+    """A :class:`ServiceDirectory`-shaped view over the live shards.
+
+    ``shards`` is the fleet runtime's own shard-id -> platform mapping,
+    read live: a killed shard is absent from it, so its services simply
+    stop resolving until the recovered shard is put back.
+    """
 
     def __init__(
-        self, shard_map: ShardMap, directories: "List[ServiceDirectory]"
+        self, shard_map: ShardMap, shards: "Mapping[int, Platform]"
     ) -> None:
-        if len(shard_map.shard_ids) != len(directories):
+        if set(shards) != set(shard_map.shard_ids):
             raise ValueError(
-                f"shard map has {len(shard_map.shard_ids)} shards but "
-                f"{len(directories)} directories were given"
+                f"shard map has shards {list(shard_map.shard_ids)} but "
+                f"shards {sorted(shards)} were given"
             )
         self.shard_map = shard_map
-        self._directories = list(directories)
-        self._index = {
-            shard_id: position
-            for position, shard_id in enumerate(shard_map.shard_ids)
-        }
+        self._shards = shards
 
     # Shard routing ----------------------------------------------------------
 
     def directory_of(self, shard_id: int) -> ServiceDirectory:
-        """The shard-local directory behind one shard id."""
-        return self._directories[self._index[shard_id]]
-
-    def replace_directory(
-        self, shard_id: int, directory: ServiceDirectory
-    ) -> None:
-        """Swap one shard's directory (kill: empty; recover: rebuilt)."""
-        self._directories[self._index[shard_id]] = directory
+        """The shard-local directory behind one (live) shard id."""
+        return self._shards[shard_id].directory
 
     def home_shard(self, service: str) -> int:
         """Where the hash ring says ``service`` belongs (placement-time)."""
@@ -63,19 +61,20 @@ class FleetDirectory:
 
         The home shard answers in O(1); a service deployed elsewhere
         (explicit shard or affinity override) is found by scanning the
-        remaining shard directories — in-process dictionary probes, not
-        network calls.  Raises :class:`DeploymentError` when no shard
-        knows the name.
+        remaining live shard directories — in-process dictionary
+        probes, not network calls.  Raises :class:`DeploymentError`
+        when no live shard knows the name.
         """
         home = self.home_shard(service)
-        if self.directory_of(home).knows(service):
+        shard = self._shards.get(home)
+        if shard is not None and shard.directory.knows(service):
             return home
-        for shard_id in self.shard_map.shard_ids:
-            if shard_id != home and self.directory_of(shard_id).knows(service):
+        for shard_id, shard in self._shards.items():
+            if shard_id != home and shard.directory.knows(service):
                 return shard_id
         raise DeploymentError(
             f"service {service!r} has no registered location on any of "
-            f"{len(self._directories)} shard(s); was it deployed?"
+            f"{len(self._shards)} shard(s); was it deployed?"
         )
 
     # ServiceDirectory surface ----------------------------------------------
@@ -88,7 +87,7 @@ class FleetDirectory:
         tokens built from it invalidate exactly as the single-directory
         token does.
         """
-        return sum(d.generation for d in self._directories)
+        return sum(s.directory.generation for s in self._shards.values())
 
     def register(
         self,
@@ -127,19 +126,19 @@ class FleetDirectory:
     def services(self) -> "List[str]":
         """Every registered service name, fleet-wide, sorted."""
         names = set()
-        for directory in self._directories:
-            names.update(directory.services())
+        for shard in self._shards.values():
+            names.update(shard.directory.services())
         return sorted(names)
 
     def services_by_shard(self) -> "Dict[int, List[str]]":
-        """Shard id -> its registered services (placement diagnostic)."""
+        """Live shard id -> its registered services (placement diagnostic)."""
         return {
-            shard_id: self.directory_of(shard_id).services()
-            for shard_id in self.shard_map.shard_ids
+            shard_id: shard.directory.services()
+            for shard_id, shard in self._shards.items()
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<FleetDirectory {len(self._directories)} shards, "
+            f"<FleetDirectory {len(self._shards)} shards, "
             f"{len(self.services())} services>"
         )

@@ -5,9 +5,9 @@ ServiceDiscoveryEngine` (UDDI registry + WSDL resolver + SOAP), so the
 publish/search/locate machinery is exactly the single-platform code —
 sharded, not reimplemented.  Two classes sit on top:
 
-* :class:`FleetRegistry` — the control-plane view over the per-shard
+* :class:`FleetRegistry` — the control-plane view over the live shards'
   :class:`~repro.discovery.registry.UddiRegistry` instances: a combined
-  generation counter for cache tokens and per-shard access for tools.
+  generation counter for cache tokens.
 * :class:`FleetDiscovery` — the engine-shaped facade the platform
   exposes.  ``publish`` routes to the shard that actually hosts the
   service; ``search`` fans out and merges; ``locate`` tries the
@@ -20,39 +20,33 @@ sharded, not reimplemented.  Two classes sit on top:
 
 from __future__ import annotations
 
-import threading
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import Mapping, Optional, Tuple, TYPE_CHECKING
 
 from repro.discovery.engine import SearchResult, ServiceListing
-from repro.discovery.registry import UddiRegistry
 from repro.exceptions import DiscoveryError
 from repro.perf.cache import LocateCache
 from repro.runtime.protocol import ResolvedBinding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.api.platform import Platform
     from repro.fleet.runtime import FleetRuntime
 
 
 class FleetRegistry:
-    """Control-plane view over the shard-local UDDI registries."""
+    """Control-plane view over the live shards' UDDI registries."""
 
-    def __init__(self, registries: "List[UddiRegistry]") -> None:
-        self._registries = list(registries)
+    def __init__(self, shards: "Mapping[int, Platform]") -> None:
+        self._shards = shards
 
     @property
     def generation(self) -> int:
-        """Fleet-wide publish/unpublish counter (sum over shards)."""
-        return sum(r.generation for r in self._registries)
-
-    def registry_of(self, position: int) -> UddiRegistry:
-        return self._registries[position]
-
-    def replace(self, position: int, registry: UddiRegistry) -> None:
-        """Swap one shard's registry (kill: empty; recover: rebuilt)."""
-        self._registries[position] = registry
+        """Fleet-wide publish/unpublish counter (sum over live shards)."""
+        return sum(
+            s.discovery.registry.generation for s in self._shards.values()
+        )
 
     def __len__(self) -> int:
-        return len(self._registries)
+        return len(self._shards)
 
 
 class FleetDiscovery:
@@ -60,9 +54,7 @@ class FleetDiscovery:
 
     def __init__(self, fleet: "FleetRuntime") -> None:
         self.fleet = fleet
-        self.registry = FleetRegistry(
-            [shard.engine.registry for shard in fleet.shards]
-        )
+        self.registry = FleetRegistry(fleet.shards)
         perf = fleet.platform_config.perf
         #: The fleet-level locate cache (``None`` when disabled).  The
         #: per-shard engine caches are disabled, so this is the only
@@ -72,33 +64,18 @@ class FleetDiscovery:
             LocateCache(
                 size=perf.locate_cache_size,
                 ttl_ms=perf.locate_cache_ttl_ms,
-                now=fleet.scheduler.now_ms,
+                now=fleet.now_ms,
                 events=fleet.perf_events,
             )
             if perf.locate_cache_size > 0 else None
         )
-        # Unlike the single-shard engine cache, this one is reachable
-        # from every shard's pump thread at once (open-loop harnesses
-        # submit by name from scheduled callbacks), and LocateCache's
-        # check-then-delete is not atomic — serialise all access.
-        self._cache_lock = threading.Lock()
 
     # Shard routing ----------------------------------------------------------
 
     def _engine_for(self, service_name: str):
         """The engine of the shard hosting ``service_name`` (deployed)."""
         shard_id = self.fleet.directory.shard_of(service_name)
-        return self.fleet.shard(shard_id).engine
-
-    def replace_shard_registry(
-        self, shard_id: int, registry: UddiRegistry
-    ) -> None:
-        """Swap the registry view of one shard after a kill/recover."""
-        positions = {
-            sid: position
-            for position, sid in enumerate(self.fleet.shard_map.shard_ids)
-        }
-        self.registry.replace(positions[shard_id], registry)
+        return self.fleet.shards[shard_id].discovery
 
     # Publish flow -----------------------------------------------------------
 
@@ -141,8 +118,8 @@ class FleetDiscovery:
         """Fan the query out over every shard and merge the results."""
         merged = SearchResult()
         seen_providers = set()
-        for shard in self.fleet.shards:
-            result = shard.engine.search(
+        for shard in self.fleet.shards.values():
+            result = shard.discovery.search(
                 provider=provider,
                 service_name=service_name,
                 operation=operation,
@@ -181,15 +158,15 @@ class FleetDiscovery:
         """Every *live* shard engine, the consistent-hash home first.
 
         A killed shard simply drops out of the iteration — its services
-        are unreachable until ``recover_shard`` swaps the slice back in.
+        are unreachable until ``recover_shard`` puts the shard back.
         """
+        shards = self.fleet.shards
         home = self.fleet.shard_map.shard_for(service_name)
-        home_slice = self.fleet._by_id.get(home)
-        if home_slice is not None:
-            yield home_slice.engine
-        for shard in self.fleet.shards:
-            if shard.shard_id != home:
-                yield shard.engine
+        if home in shards:
+            yield shards[home].discovery
+        for shard_id, shard in shards.items():
+            if shard_id != home:
+                yield shard.discovery
 
     def _generation_token(self) -> "Tuple[int, int]":
         """The invalidation token fleet-level cache entries live under.
@@ -212,8 +189,7 @@ class FleetDiscovery:
         """
         token = self._generation_token()
         if self.locate_cache is not None:
-            with self._cache_lock:
-                cached = self.locate_cache.get(service_name, token)
+            cached = self.locate_cache.get(service_name, token)
             if cached is not None:
                 return cached
         binding: Optional[ResolvedBinding] = None
@@ -229,10 +205,9 @@ class FleetDiscovery:
                 f"{len(self.fleet.shards)} shard(s)"
             )
         if self.locate_cache is not None:
-            # Filled under the token observed before the fan-out: a
-            # concurrent mutation between read and fill re-misses.
-            with self._cache_lock:
-                self.locate_cache.put(service_name, binding, token)
+            # Filled under the token observed before the fan-out, so a
+            # mutation made by the fan-out itself re-misses.
+            self.locate_cache.put(service_name, binding, token)
         return binding
 
     def invalidate_locates(
@@ -244,8 +219,7 @@ class FleetDiscovery:
         passes through a registry or directory generation.
         """
         if self.locate_cache is not None:
-            with self._cache_lock:
-                self.locate_cache.invalidate(service_name, reason=reason)
+            self.locate_cache.invalidate(service_name, reason=reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FleetDiscovery over {len(self.fleet.shards)} shards>"

@@ -4,10 +4,10 @@
 partition slot (components co-located by shard), and
 ``run_fleet_open_loop`` injects a pre-drawn open-loop arrival schedule
 (see :mod:`repro.workload.arrivals`), pumps every shard to quiescence
-through the :class:`~repro.fleet.scheduler.FleetScheduler` worker
-threads, and reports the fleet-wide shape of the run: latency
-percentiles, bottleneck-shard makespan, throughput, and per-shard
-message counts — the numbers the ``BENCH_FLEET`` ledger records.
+through :meth:`~repro.fleet.runtime.FleetRuntime.wait_for`, and
+reports the fleet-wide shape of the run: latency percentiles,
+bottleneck-shard makespan, throughput, and per-shard message counts —
+the numbers the ``BENCH_FLEET`` ledger records.
 
 Throughput is defined on the *simulated* clock (completed requests over
 the slowest shard's quiesce time), so the measurement is bit-for-bit
@@ -25,8 +25,7 @@ from repro.api.platform import Platform
 from repro.api.config import PlatformConfig
 from repro.deployment.deployer import CompositeDeployment
 from repro.fleet.config import FleetConfig
-from repro.workload.generator import make_chain_workload
-from repro.workload.harness import composite_for_workload
+from repro.workload.harness import deploy_chain
 
 
 def percentile(values: "Sequence[float]", fraction: float) -> float:
@@ -55,7 +54,6 @@ def build_fleet_chains(
     seed: int = 0,
     processing_ms: float = 1.0,
     service_latency_ms: float = 5.0,
-    parallel: bool = True,
 ) -> FleetBench:
     """A fleet of chain composites, spread evenly across shards.
 
@@ -66,32 +64,18 @@ def build_fleet_chains(
     share-nothing), each on its own host.
     """
     platform = Platform(PlatformConfig(
-        fleet=FleetConfig(shards=shards, parallel=parallel),
+        fleet=FleetConfig(shards=shards),
         seed=seed,
         processing_ms=processing_ms,
     ))
     bench = FleetBench(platform=platform, deployments=[])
     for index in range(composites):
         name = f"FleetChain{index:02d}"
-        workload = make_chain_workload(
-            tasks,
-            seed=seed * 1000 + index,
-            service_latency_ms=service_latency_ms,
-            service_prefix=f"{name}Svc",
-        )
         shard = index % shards
-        for task_index, service in enumerate(workload.services):
-            platform.deployer.deploy_elementary(
-                service,
-                f"{name.lower()}-svc-{task_index:02d}",
-                shard=shard,
-            )
-        deployment = platform.deployer.deploy_composite(
-            composite_for_workload(workload, name=name),
-            f"{name.lower()}-host",
-            shard=shard,
-        )
-        bench.deployments.append(deployment)
+        bench.deployments.append(deploy_chain(
+            platform.deployer, name, index, tasks, seed,
+            service_latency_ms, shard=shard,
+        ))
         bench.placement[name] = shard
     return bench
 
@@ -106,8 +90,8 @@ class FleetRunReport:
     latencies_ms: "List[float]" = field(default_factory=list)
     #: The slowest shard's virtual quiesce time — the open-loop makespan.
     makespan_ms: float = 0.0
-    #: Wall-clock seconds the scheduler pump took (informational: real
-    #: thread parallelism, but load-dependent and not CI-stable).
+    #: Wall-clock seconds the fleet pump took (informational:
+    #: load-dependent and not CI-stable).
     wall_seconds: float = 0.0
     messages_by_shard: "Dict[int, int]" = field(default_factory=dict)
     requests_by_shard: "Dict[int, int]" = field(default_factory=dict)
@@ -163,29 +147,23 @@ def run_fleet_open_loop(
     Each arrival is assigned round-robin over the bench's composites
     and scheduled on the owning shard's simulator at its arrival time;
     submissions therefore enter through the real
-    :class:`~repro.api.handles.Session` routing layer, on the shard's
-    own pump thread, at the modelled instant.
+    :class:`~repro.api.handles.Session` routing layer, from the shard's
+    own event queue, at the modelled instant.
     """
     platform = bench.platform
     fleet = platform.fleet
     if fleet is None:
         raise ValueError("run_fleet_open_loop needs a fleet-mode platform")
     session = platform.session(session_name, session_host)
-    # Route (and lazily create) every shard client up front, so pump
-    # threads never mutate the session's client table concurrently.
-    for deployment in bench.deployments:
-        session.route(deployment)
 
     submissions: "List[Any]" = []  # (arrival_ms, handle) pairs
-    requests_by_shard: "Dict[int, int]" = {
-        shard.shard_id: 0 for shard in fleet.shards
-    }
+    requests_by_shard: "Dict[int, int]" = dict.fromkeys(fleet.shards, 0)
     arguments = dict(arguments or {})
     for index, arrival_ms in enumerate(arrival_times_ms):
         deployment = bench.deployments[index % len(bench.deployments)]
-        shard = fleet.shard_of_service(deployment.composite.name)
-        requests_by_shard[shard.shard_id] += 1
-        shard.transport.simulator.schedule(
+        shard_id = fleet.directory.shard_of(deployment.composite.name)
+        requests_by_shard[shard_id] += 1
+        fleet.shards[shard_id].transport.simulator.schedule(
             arrival_ms,
             lambda d=deployment, t=arrival_ms: submissions.append(
                 (t, session.submit(d, operation, arguments))
@@ -211,8 +189,8 @@ def run_fleet_open_loop(
         if h.peek() is not None and h.peek().ok
     ]
     makespan = max(
-        (shard.transport.now_ms() for shard in fleet.shards
-         if requests_by_shard[shard.shard_id] > 0),
+        (shard.now_ms() for shard_id, shard in fleet.shards.items()
+         if requests_by_shard[shard_id] > 0),
         default=0.0,
     )
     return FleetRunReport(

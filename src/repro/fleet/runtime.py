@@ -1,16 +1,18 @@
-"""The fleet runtime: shard slices, routing, and the shard-aware deployer.
+"""The fleet runtime: shard platforms, routing, and the shard-aware deployer.
 
 Built by the :class:`~repro.api.platform.Platform` when its config
 carries a :class:`~repro.fleet.config.FleetConfig`.  The runtime owns
 
 * the :class:`~repro.fleet.shardmap.ShardMap` (consistent hashing of
   placement keys to shards),
-* one :class:`~repro.fleet.scheduler.ShardSlice` per shard (transport,
-  directory, registry, kernel, deployer — share-nothing),
-* the :class:`~repro.fleet.scheduler.FleetScheduler` pumping them on
-  worker threads,
+* one classic single-shard :class:`~repro.api.platform.Platform` per
+  shard, each on its own simulated transport (share-nothing), plus the
+  per-shard random streams deployments draw from,
+* the serial pump that drives every shard's simulator on the calling
+  thread (``pump_all``/``wait_for``),
 * the :class:`~repro.fleet.directory.FleetDirectory` and
   :class:`~repro.fleet.discovery.FleetDiscovery` control-plane views,
+  which read the live shards,
 * the :class:`FleetDeployer`, which routes every deployment to the
   shard the hash ring (or an explicit ``shard``/``affinity`` override)
   assigns and otherwise behaves exactly like a
@@ -22,27 +24,27 @@ this — use ``affinity`` to co-locate), and cross-shard interaction
 happens only at the control plane (deploy, discovery) and at the
 session layer, where the client router picks the right shard per
 submission.
+
+Nothing here runs on a second thread: the platform refuses fleet mode
+on any transport but the simulator, so every shard advances only when
+the caller pumps it, one shard after another.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import replace
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
+from repro.api.platform import Platform
 from repro.deployment.deployer import CompositeDeployment
-from repro.discovery.registry import UddiRegistry
 from repro.exceptions import DeploymentError, DurabilityError
 from repro.fleet.directory import FleetDirectory
 from repro.fleet.discovery import FleetDiscovery
-from repro.fleet.scheduler import (
-    FleetScheduler,
-    ShardSlice,
-    build_shard_slice,
-)
 from repro.fleet.shardmap import ShardMap
+from repro.net.simnet import SimTransport
 from repro.perf.events import PerfEventLog
 from repro.runtime.community_wrapper import CommunityWrapperRuntime
-from repro.runtime.directory import ServiceDirectory
 from repro.runtime.service_wrapper import ServiceWrapperRuntime
 from repro.selection.policies import SelectionPolicy
 from repro.services.community import ServiceCommunity
@@ -66,10 +68,18 @@ class FleetRuntime:
         self.shard_map = ShardMap(
             fleet_config.shards, virtual_nodes=fleet_config.virtual_nodes
         )
+        #: What every shard platform is built from.  The shard
+        #: ``locate()`` cache is off — the fleet discovery facade layers
+        #: one fleet-level cache over all shards instead, so a
+        #: cross-shard fan-out hit is cached exactly once.
+        self.shard_config = replace(
+            config, fleet=None, trace=False, durability=None,
+            perf=replace(config.perf, locate_cache_size=0),
+        )
         #: Per-shard durability bundles (empty when
         #: ``PlatformConfig.durability`` is unset).  A bundle survives
-        #: its slice: ``kill_shard`` drops the slice, ``recover_shard``
-        #: re-attaches the bundle to a fresh one.
+        #: its shard: ``kill_shard`` drops the platform,
+        #: ``recover_shard`` attaches the bundle to a fresh one.
         self.durability: "Dict[int, object]" = {}
         if config.durability is not None:
             from repro.durability.runtime import ShardDurability
@@ -81,22 +91,17 @@ class FleetRuntime:
                 )
                 for shard_id in self.shard_map.shard_ids
             }
-        streams = RandomStreams(config.seed)
-        self.shards: "List[ShardSlice]" = [
-            build_shard_slice(shard_id, config,
-                              streams.fork(f"shard-{shard_id}"),
-                              durability=self.durability.get(shard_id))
+        #: Shard id -> the shard's random streams (``svc-<name>`` RNGs
+        #: for elementary deployments are drawn from them).
+        self.streams: "Dict[int, RandomStreams]" = {}
+        #: Shard id -> the live shard platform, in shard-id order.  A
+        #: killed shard is absent until recovered; the directory,
+        #: registry and discovery views read this mapping live.
+        self.shards: "Dict[int, Platform]" = {
+            shard_id: self._build_shard(shard_id)
             for shard_id in self.shard_map.shard_ids
-        ]
-        self._by_id: "Dict[int, ShardSlice]" = {
-            shard.shard_id: shard for shard in self.shards
         }
-        self.scheduler = FleetScheduler(
-            self.shards, parallel=fleet_config.parallel
-        )
-        self.directory = FleetDirectory(
-            self.shard_map, [shard.directory for shard in self.shards]
-        )
+        self.directory = FleetDirectory(self.shard_map, self.shards)
         #: Fleet-level fast-path audit trail (locate cache events).
         self.perf_events = PerfEventLog()
         self.discovery = FleetDiscovery(self)
@@ -105,32 +110,36 @@ class FleetRuntime:
         #: to rebind session clients onto a rebuilt shard.
         self.platform = None
 
-    # Shard access -----------------------------------------------------------
-
-    def shard(self, shard_id: int) -> ShardSlice:
-        return self._by_id[shard_id]
-
-    def shard_of_service(self, service: str) -> ShardSlice:
-        """The slice actually hosting a deployed service."""
-        return self.shard(self.directory.shard_of(service))
+    def _build_shard(self, shard_id: int) -> Platform:
+        """A fresh shard platform, durability bundle attached if any."""
+        config = self.shard_config
+        streams = RandomStreams(config.seed).fork(f"shard-{shard_id}")
+        self.streams[shard_id] = streams
+        shard = Platform(config, transport=SimTransport(
+            latency=config.latency,
+            loss_rate=config.loss_rate,
+            rng=streams.stream("network"),
+            processing_ms=config.processing_ms,
+            batch_window_ms=config.perf.batch_window_ms,
+            batch_max=config.perf.batch_max_messages,
+        ))
+        dur = self.durability.get(shard_id)
+        if dur is not None:
+            dur.attach(shard)
+        return shard
 
     # Crash & recovery -------------------------------------------------------
 
     def kill_shard(self, shard_id: int) -> int:
-        """Crash one shard: drop its slice, unsynced WAL tail included.
+        """Crash one shard: drop its platform, unsynced WAL tail included.
 
         The fleet keeps running degraded — the dead shard's services
         vanish from the fleet directory/registry until
         :meth:`recover_shard`.  Returns the number of WAL records lost
         to the crash (0 under ``fsync="always"``).
         """
-        slice_ = self._by_id.pop(shard_id, None)
-        if slice_ is None:
+        if self.shards.pop(shard_id, None) is None:
             raise DurabilityError(f"shard {shard_id} is not running")
-        self.shards = [s for s in self.shards if s.shard_id != shard_id]
-        self.scheduler.remove_shard(shard_id)
-        self.directory.replace_directory(shard_id, ServiceDirectory())
-        self.discovery.replace_shard_registry(shard_id, UddiRegistry())
         self.discovery.invalidate_locates(
             reason=f"shard {shard_id} killed"
         )
@@ -141,16 +150,13 @@ class FleetRuntime:
         """Rebuild a killed shard from its WAL + snapshot; resume work.
 
         Returns the :class:`~repro.durability.ReplayReport`.  Session
-        clients previously bound to the dead slice are migrated onto
+        clients previously bound to the dead shard are migrated onto
         the fresh one, so handles that were in flight at the kill
         complete once the recovered shard finishes their compositions.
         """
-        from repro.durability.replay import (
-            recover_attached,
-            rebind_fleet_sessions,
-        )
+        from repro.durability.replay import rebind_client, recover_attached
 
-        if shard_id in self._by_id:
+        if shard_id in self.shards:
             raise DurabilityError(f"shard {shard_id} is already running")
         dur = self.durability.get(shard_id)
         if dur is None:
@@ -158,59 +164,101 @@ class FleetRuntime:
                 f"shard {shard_id} has no durability bundle — set "
                 f"PlatformConfig.durability to make shards recoverable"
             )
-        streams = RandomStreams(self.platform_config.seed).fork(
-            f"shard-{shard_id}"
-        )
-        slice_ = build_shard_slice(
-            shard_id, self.platform_config, streams, durability=dur
-        )
+        shard = self._build_shard(shard_id)
         sessions = (
-            list(self.platform.sessions())
-            if self.platform is not None else []
+            self.platform.sessions() if self.platform is not None else []
         )
 
         def rebind() -> None:
-            rebind_fleet_sessions(sessions, shard_id, slice_)
+            for session in sessions:
+                old = session._shard_clients.get(shard_id)
+                if old is not None:
+                    session._shard_clients[shard_id] = rebind_client(
+                        session, shard, old
+                    )
 
-        report = recover_attached(
-            dur, slice_.transport, slice_.kernel, rebind=rebind
+        report, _gate = recover_attached(
+            dur, shard,
+            redeploy=lambda: dur.journal.redeploy(shard), rebind=rebind,
         )
-        self._by_id[shard_id] = slice_
-        self.shards.append(slice_)
-        self.shards.sort(key=lambda shard: shard.shard_id)
-        self.scheduler.add_shard(slice_)
-        self.directory.replace_directory(shard_id, slice_.directory)
-        self.discovery.replace_shard_registry(
-            shard_id, slice_.engine.registry
-        )
+        # In place (the views hold this mapping), back in shard-id order.
+        live = sorted({**self.shards, shard_id: shard}.items())
+        self.shards.clear()
+        self.shards.update(live)
         self.discovery.invalidate_locates(
             reason=f"shard {shard_id} recovered"
         )
         return report
 
-    # Platform plumbing ------------------------------------------------------
+    # Pumping ----------------------------------------------------------------
 
     def ensure_node(self, host: str) -> None:
         """Make ``host`` exist on every shard.
 
-        Host namespaces are per-shard (each slice has its own
+        Host namespaces are per-shard (each shard has its own
         transport); ensuring fleet-wide keeps provider registration
         order-independent from shard assignment.
         """
-        for shard in self.shards:
+        for shard in self.shards.values():
             shard.ensure_node(host)
 
     def now_ms(self) -> float:
-        return self.scheduler.now_ms()
+        """The fleet-wide clock: the furthest-ahead shard clock.
 
-    def wait_for(self, predicate, timeout_ms: Optional[float] = None) -> bool:
-        return self.scheduler.wait_for(predicate, timeout_ms=timeout_ms)
+        Shard clocks advance independently (an idle shard's clock
+        lags), so the max is the only value that never runs backwards.
+        The empty-fleet default covers the window while every shard is
+        killed awaiting recovery.
+        """
+        return max((s.now_ms() for s in self.shards.values()), default=0.0)
+
+    def pump_all(self, until_offset_ms: Optional[float] = None) -> int:
+        """One pump round over every shard; returns events executed.
+
+        ``until_offset_ms`` bounds each shard's *virtual* progress
+        relative to its own clock (used by bounded waits); ``None``
+        drains every shard to idle.
+        """
+        executed = 0
+        for shard in self.shards.values():
+            simulator = shard.transport.simulator
+            before = simulator.processed_events
+            if until_offset_ms is None:
+                shard.transport.run_until_idle()
+            else:
+                simulator.run(until=simulator.now + until_offset_ms)
+            executed += simulator.processed_events - before
+        return executed
+
+    def wait_for(
+        self,
+        predicate: "Callable[[], bool]",
+        timeout_ms: Optional[float] = None,
+    ) -> bool:
+        """Pump all shards until ``predicate()`` holds (or nothing moves).
+
+        The predicate is evaluated between pump rounds.  When the fleet
+        quiesces with the predicate still false, ``timeout_ms`` grants
+        one bounded round of extra *virtual* time per shard so pending
+        timers (execution deadlines, breaker probes) get their chance
+        to fire — mirroring the simulated transport's timeout
+        semantics.
+        """
+        while not predicate():
+            executed = self.pump_all()
+            if predicate():
+                return True
+            if executed == 0:
+                if timeout_ms is not None:
+                    self.pump_all(until_offset_ms=timeout_ms)
+                return predicate()
+        return True
 
     def message_counts(self) -> "Dict[int, int]":
         """Shard id -> messages sent on that shard's transport."""
         return {
-            shard.shard_id: shard.transport.stats.sent_total
-            for shard in self.shards
+            shard_id: shard.transport.stats.sent_total
+            for shard_id, shard in self.shards.items()
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -240,17 +288,16 @@ class FleetDeployer:
 
     def _route(
         self, name: str, shard: Optional[int], affinity: Optional[str]
-    ) -> ShardSlice:
+    ) -> int:
+        """The shard id a deployment lands on."""
         if shard is not None:
-            if shard not in self.fleet._by_id:
+            if shard not in self.fleet.shards:
                 raise DeploymentError(
                     f"unknown shard {shard!r}; fleet has shards "
-                    f"{sorted(self.fleet._by_id)}"
+                    f"{sorted(self.fleet.shards)}"
                 )
-            return self.fleet.shard(shard)
-        return self.fleet.shard(
-            self.fleet.shard_map.shard_for(affinity or name)
-        )
+            return shard
+        return self.fleet.shard_map.shard_for(affinity or name)
 
     def shard_for(self, key: str) -> int:
         """Where the hash ring places ``key`` (no deployment)."""
@@ -266,11 +313,13 @@ class FleetDeployer:
         shard: Optional[int] = None,
         affinity: Optional[str] = None,
     ) -> ServiceWrapperRuntime:
-        slice_ = self._route(service.name, shard, affinity)
-        return slice_.deployer.deploy_elementary(
+        shard_id = self._route(service.name, shard, affinity)
+        return self.fleet.shards[shard_id].deployer.deploy_elementary(
             service,
             host,
-            rng=rng or slice_.streams.stream(f"svc-{service.name}"),
+            rng=rng or self.fleet.streams[shard_id].stream(
+                f"svc-{service.name}"
+            ),
         )
 
     def deploy_community(
@@ -289,8 +338,8 @@ class FleetDeployer:
         live on the same shard — deploy them with
         ``affinity=<community name>``.
         """
-        slice_ = self._route(community.name, shard, affinity)
-        return slice_.deployer.deploy_community(
+        shard_id = self._route(community.name, shard, affinity)
+        return self.fleet.shards[shard_id].deployer.deploy_community(
             community,
             host,
             policy=policy,
@@ -315,21 +364,22 @@ class FleetDeployer:
         component that exists on another shard produces a routing hint
         instead of the bare not-deployed error.
         """
-        slice_ = self._route(composite.name, shard, affinity)
+        shard_id = self._route(composite.name, shard, affinity)
+        target = self.fleet.shards[shard_id]
         misplaced = [
             name for name in composite.component_services()
-            if not slice_.directory.knows(name)
+            if not target.directory.knows(name)
             and self.fleet.directory.knows(name)
         ]
         if misplaced:
             raise DeploymentError(
                 f"cannot deploy composite {composite.name!r} on shard "
-                f"{slice_.shard_id}: component service(s) "
+                f"{shard_id}: component service(s) "
                 f"{sorted(misplaced)!r} live on other shards — deploy "
                 f"them with affinity={composite.name!r} (or an explicit "
                 f"shard=) so the composite and its components co-locate"
             )
-        return slice_.deployer.deploy_composite(
+        return target.deployer.deploy_composite(
             composite,
             host,
             default_timeout_ms=default_timeout_ms,

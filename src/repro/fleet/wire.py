@@ -372,10 +372,14 @@ class WireFleet:
         self.nodes[shard_id] = handle
         assert self.frontend is not None
         self.frontend.register_peer(handle.node_id, handle.address)
-        # Finished-before-crash work: answer from the recovered pool.
-        recovered = self.call_control(
-            shard_id, WIRE_RESULTS, timeout=30.0
-        ).get("results", {})
+        # Finished-before-crash work: answer from the recovered pool,
+        # fetched page by page (each reply fits one frame).
+        recovered: "Dict[str, Any]" = {}
+        more = True
+        while more:
+            page = self.call_control(shard_id, WIRE_RESULTS, timeout=30.0)
+            recovered.update(page.get("results", {}))
+            more = bool(page.get("more"))
         orphans = [
             call for call in self._pending_for(shard_id) if not call.done()
         ]

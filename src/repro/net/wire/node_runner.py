@@ -17,10 +17,13 @@ exclusively over sockets:
 Topology is *spec-determined*: the child rebuilds its composites from
 the :class:`WireNodeSpec` alone, which is what makes cross-process
 crash recovery honest — a respawned incarnation (``recover=True``)
-rebuilds the same topology deterministically, restores the latest
-snapshot, replays the shard WAL through the PR 6 replay path, and
-reports what it recovered through the spawn pipe.  Only the spec
-crosses the process boundary; live objects never do.
+runs the same :func:`~repro.durability.replay.recover_attached`
+sequence as in-process recovery, with the spec-driven topology rebuild
+standing in for the deployment journal (a fresh process has no live
+objects to replay), and reports what it recovered through the spawn
+pipe.  Only the spec crosses the process boundary; live objects never
+do.  Recovered results go back to the parent in pages that each fit
+one frame.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import TransportError
 from repro.net.message import Message
-from repro.net.wire.codec import control_body
+from repro.net.wire.codec import control_body, encode_message
 from repro.net.wire.frames import DEFAULT_MAX_FRAME_BYTES
 from repro.net.wire.transport import WireTransport
 
@@ -134,27 +137,37 @@ class _CompositeIngress:
         from repro.kernel.envelopes import Execute
 
         runtime = self.runtime
-        pending: "List[Tuple[Message, Any, Any]]" = []
+        node, endpoint = self.deployment.address
+        results: "Dict[str, Any]" = {}
+        pending: "List[Tuple[Message, str]]" = []
         for message in messages:
             envelope = message.envelope
             if not isinstance(envelope, Execute):
                 continue  # codec-validated, so only a misaddressed verb
-            handle = runtime.session.submit(
-                self.deployment,
+            # Submitted under the parent's request key: the WAL carries
+            # it, so a recovered incarnation hands results back under
+            # keys the parent can match to its orphaned calls.
+            key = envelope.request_key
+            runtime.session.client.submit(
+                node, endpoint,
                 envelope.operation,
                 dict(envelope.arguments),
                 deadline_ms=envelope.timeout_ms,
+                on_result=lambda result, key=key: results.__setitem__(
+                    key, result
+                ),
+                request_key=key,
             )
-            pending.append((message, envelope, handle))
+            pending.append((message, key))
         if not pending:
             return
         runtime.platform.wait_for(
-            lambda: all(h.done() for _, _, h in pending),
+            lambda: all(key in results for _, key in pending),
             timeout_ms=runtime.spec.ingress_wait_ms,
         )
         runtime.executions += len(pending)
-        for message, envelope, handle in pending:
-            runtime.reply_result(message, envelope.request_key, handle.peek())
+        for message, key in pending:
+            runtime.reply_result(message, key, results.get(key))
 
 
 class _WireNodeRuntime:
@@ -177,88 +190,46 @@ class _WireNodeRuntime:
     # Boot -------------------------------------------------------------------
 
     def boot(self) -> None:
-        if self.spec.recover:
-            self._boot_recovered()
-        else:
-            self._boot_fresh()
-        self._open_wire()
-
-    def _platform_config(self, durability: "Optional[Any]") -> "Any":
         from repro.api.config import PlatformConfig
+        from repro.api.platform import Platform
 
-        return PlatformConfig(
+        durability = None
+        if self.spec.durability_dir:
+            from repro.durability.config import DurabilityConfig
+
+            durability = DurabilityConfig(
+                dir=self.spec.durability_dir, fsync=self.spec.fsync
+            )
+        self.platform = Platform(PlatformConfig(
             seed=self.spec.seed * 31 + self.spec.shard_id,
             processing_ms=self.spec.processing_ms,
             trace=False,
             durability=durability,
-        )
+        ))
+        if self.spec.recover:
+            self._recover()
+        else:
+            self._deploy_topology()
+            self._open_session()
+        self._open_wire()
 
-    def _durability_config(self) -> "Any":
-        from repro.durability.config import DurabilityConfig
-
-        return DurabilityConfig(
-            dir=self.spec.durability_dir, fsync=self.spec.fsync
-        )
-
-    def _boot_fresh(self) -> None:
-        from repro.api.platform import Platform
-
-        durability = (
-            self._durability_config() if self.spec.durability_dir else None
-        )
-        self.platform = Platform(self._platform_config(durability))
-        self._deploy_topology()
-        self._open_session()
-
-    def _boot_recovered(self) -> None:
+    def _recover(self) -> None:
         """Cross-process recovery: deterministic rebuild, then replay.
 
-        The PR 6 in-process path redeploys from the live deployment
-        journal; a fresh OS process has no live objects, so the rebuild
-        step is the spec-driven :meth:`_deploy_topology` instead —
-        byte-identical topology because every name, host and seed is a
-        pure function of the spec.  Restore/replay then run unchanged.
+        The in-process path redeploys from the live deployment journal;
+        a fresh OS process has no live objects, so the rebuild step is
+        the spec-driven :meth:`_deploy_topology` instead — byte-identical
+        topology because every name, host and seed is a pure function
+        of the spec.  The session opens before replay so re-driven
+        ``ExecuteResult`` deliveries have a home.
         """
-        from repro.api.platform import Platform
-        from repro.durability.replay import (
-            ReplayReport,
-            replay_wal,
-            restore_state,
-        )
-        from repro.durability.runtime import ShardDurability
+        from repro.durability.replay import recover_attached
 
-        self.platform = Platform(self._platform_config(None))
-        dur = ShardDurability(
-            self._durability_config(), shard_id=self.spec.shard_id
+        dur = self.platform.durability
+        report, gate = recover_attached(
+            dur, self.platform,
+            redeploy=self._deploy_topology, rebind=self._open_session,
         )
-        dur.attach(
-            transport=self.platform.transport,
-            kernel=self.platform.kernel,
-            deployer=self.platform.deployer,
-            engine=self.platform.discovery,
-        )
-        self.platform.durability = dur
-        report = ReplayReport()
-        dur.begin_recovery()
-        try:
-            self._deploy_topology()
-            report.redeployed = len(self.deployments)
-            snapshot = dur.snapshots.latest()
-            if snapshot is not None:
-                snapshot_id, state = snapshot
-                restore_state(
-                    self.platform.kernel, dur.effects, state,
-                    directory=self.platform.directory,
-                    registry=self.platform.discovery.registry,
-                )
-                report.snapshot_id = snapshot_id
-            # The session client must exist on the fresh kernel before
-            # replay so re-driven ExecuteResult deliveries have a home.
-            self._open_session()
-            gate = replay_wal(dur, self.platform.transport,
-                              self.platform.kernel, report)
-        finally:
-            dur.finish_recovery()
         # Pump resumed executions to quiescence; their results land in
         # the client's shared pool (no handles survive a process death)
         # and are served to the parent via __wire_results__.
@@ -266,10 +237,9 @@ class _WireNodeRuntime:
             lambda: dur.quiescent()[0],
             timeout_ms=self.spec.ingress_wait_ms,
         )
-        # A fresh process restarts the client's request-key counter, so
-        # new submissions would collide with the gate's leftover keys
-        # and be swallowed as replay duplicates.  Quiescence means no
-        # regeneration is still in flight: seal the gate.
+        # Quiescence means no regeneration is still in flight, so the
+        # gate's leftover keys can only swallow genuinely new traffic
+        # that happens to collide with them: seal the gate.
         sealed = gate.seal()
         self._drain_recovered_results()
         self.recovery_summary = {
@@ -284,29 +254,20 @@ class _WireNodeRuntime:
             "recovered_results": len(self.recovered_results),
         }
 
-    def _deploy_topology(self) -> None:
-        from repro.workload.generator import make_chain_workload
-        from repro.workload.harness import composite_for_workload
+    def _deploy_topology(self) -> int:
+        """Deploy this shard's chain composites; returns how many."""
+        from repro.workload.harness import deploy_chain
 
         spec = self.spec
         for index in range(spec.composites):
             if index % spec.shards_total != spec.shard_id:
                 continue
             name = f"WireChain{index:02d}"
-            workload = make_chain_workload(
-                spec.tasks,
-                seed=spec.seed * 1000 + index,
-                service_latency_ms=spec.service_latency_ms,
-                service_prefix=f"{name}Svc",
+            self.deployments[name] = deploy_chain(
+                self.platform.deployer, name, index, spec.tasks,
+                spec.seed, spec.service_latency_ms,
             )
-            for task_index, service in enumerate(workload.services):
-                self.platform.deployer.deploy_elementary(
-                    service, f"{name.lower()}-svc-{task_index:02d}"
-                )
-            self.deployments[name] = self.platform.deployer.deploy_composite(
-                composite_for_workload(workload, name=name),
-                f"{name.lower()}-host",
-            )
+        return len(self.deployments)
 
     def _open_session(self) -> None:
         # Deterministic session identity: the client actor of a
@@ -355,14 +316,18 @@ class _WireNodeRuntime:
     def _reply(self, request: Message, kind: str,
                body: "Dict[str, Any]") -> None:
         assert self.wire is not None
-        self.wire.send(Message(
+        self.wire.send(self._reply_message(request, kind, body))
+
+    def _reply_message(self, request: Message, kind: str,
+                       body: "Dict[str, Any]") -> Message:
+        return Message(
             kind=kind,
             source=self.node_id,
             source_endpoint=request.target_endpoint,
             target=request.source,
             target_endpoint=request.source_endpoint,
             body=body,
-        ))
+        )
 
     # Control verbs ----------------------------------------------------------
 
@@ -386,10 +351,7 @@ class _WireNodeRuntime:
             ))
         elif kind == WIRE_RESULTS:
             self._drain_recovered_results()
-            results, self.recovered_results = self.recovered_results, {}
-            self._reply(message, WIRE_RESULTS_REPLY, control_body(
-                token=token, results=results,
-            ))
+            self._reply_results_page(message, token)
         elif kind == WIRE_SNAPSHOT:
             dur = getattr(self.platform, "durability", None)
             if dur is None:
@@ -413,6 +375,33 @@ class _WireNodeRuntime:
         # Unknown control verbs are dropped: the codec already confines
         # them to the __ namespace, and a one-sided drop is safer than
         # answering a verb from a newer protocol revision.
+
+    def _reply_results_page(self, request: Message, token: str) -> None:
+        """Answer ``__wire_results__`` with the next page of the pool.
+
+        A page is cut by encoded size, not by count: each entry's cost
+        is what it adds to the encoded reply, so the page always fits
+        ``max_frame_bytes`` (a lone entry over the limit still goes
+        out, and fails at the sender).  Served results leave the pool;
+        ``more`` tells the parent to ask again.
+        """
+        assert self.wire is not None
+        body = control_body(token=token, results={}, more=False)
+        reply = self._reply_message(request, WIRE_RESULTS_REPLY, body)
+        empty = len(encode_message(reply))
+        used = empty
+        pool = self.recovered_results
+        page: "Dict[str, Dict[str, Any]]" = {}
+        for key in list(pool):
+            body["results"] = {key: pool[key]}
+            # +1: the separator between this entry and the previous one.
+            cost = len(encode_message(reply)) - empty + 1
+            if page and used + cost > self.spec.max_frame_bytes:
+                break
+            page[key] = pool.pop(key)
+            used += cost
+        reply.body = control_body(token=token, results=page, more=bool(pool))
+        self.wire.send(reply)
 
     def _drain_recovered_results(self) -> None:
         client = getattr(self.session, "client", None)

@@ -106,6 +106,7 @@ class RuntimeClient(Actor):
         arguments: Optional[Mapping[str, Any]] = None,
         deadline_ms: Optional[float] = None,
         on_result: "Optional[Callable[[ExecutionResult], None]]" = None,
+        request_key: str = "",
     ) -> str:
         """Fire an execute request; returns a request key for result().
 
@@ -120,9 +121,13 @@ class RuntimeClient(Actor):
         that callback (exactly once, on the message-handling path) instead
         of the shared pool read by :meth:`take_results`/:meth:`wait_all` —
         the correlation path behind :class:`repro.api.ExecutionHandle`.
+
+        ``request_key`` lets a relay submit under its caller's key
+        (unique per client) instead of minting one, so the key the
+        result — and the durability log — carries is the caller's own.
         """
         self.start()
-        request_key = f"{self.name}-req{next(_request_ids)}"
+        request_key = request_key or f"{self.name}-req{next(_request_ids)}"
         if on_result is not None:
             self._callbacks[request_key] = on_result
         self.send(target_node, target_endpoint, Execute(

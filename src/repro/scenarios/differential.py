@@ -205,7 +205,7 @@ def run_fleet(
 ) -> ScenarioRun:
     """The scenario on a sharded fleet (composition co-located by shard)."""
     platform = Platform(_platform_config(
-        seed, perf, fleet=FleetConfig(shards=shards, parallel=False),
+        seed, perf, fleet=FleetConfig(shards=shards),
     ))
     affinity = scenario.composite_name
     for slot in scenario.materialize():
@@ -223,7 +223,7 @@ def run_fleet(
     deployment = platform.fleet.deployer.deploy_composite(
         scenario_composite(scenario), "composite-host",
     )
-    kernels = [shard.kernel for shard in platform.fleet.shards]
+    kernels = [shard.kernel for shard in platform.fleet.shards.values()]
     return _run_requests(platform, deployment, scenario, "fleet",
                          kernels, deadline_ms)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.baselines.central import deploy_central
-from repro.deployment.deployer import Deployer
+from repro.deployment.deployer import CompositeDeployment, Deployer
 from repro.deployment.placement import PlacementPolicy
 from repro.exceptions import DeploymentError
 from repro.expr import FunctionRegistry
@@ -24,7 +24,7 @@ from repro.runtime.directory import ServiceDirectory
 from repro.services.composite import CompositeService
 from repro.services.description import OperationSpec, ServiceDescription
 from repro.sim.random_streams import RandomStreams
-from repro.workload.generator import SyntheticWorkload
+from repro.workload.generator import SyntheticWorkload, make_chain_workload
 
 
 @dataclass
@@ -132,6 +132,40 @@ def composite_for_workload(
         workload.chart,
     )
     return composite
+
+
+def deploy_chain(
+    deployer: Any,
+    name: str,
+    index: int,
+    tasks: int,
+    seed: int,
+    service_latency_ms: float,
+    **routing: Any,
+) -> CompositeDeployment:
+    """Deploy chain composite ``name`` (slot ``index``) and its services.
+
+    The topology is a pure function of the arguments: the chain is
+    generated from seed ``seed * 1000 + index``, service ``i`` runs on
+    host ``<name>-svc-<i>`` and the composite on ``<name>-host`` (names
+    lower-cased).  ``routing`` (e.g. ``shard=``) is forwarded to every
+    deploy call, for a fleet deployer.
+    """
+    workload = make_chain_workload(
+        tasks,
+        seed=seed * 1000 + index,
+        service_latency_ms=service_latency_ms,
+        service_prefix=f"{name}Svc",
+    )
+    for task_index, service in enumerate(workload.services):
+        deployer.deploy_elementary(
+            service, f"{name.lower()}-svc-{task_index:02d}", **routing
+        )
+    return deployer.deploy_composite(
+        composite_for_workload(workload, name=name),
+        f"{name.lower()}-host",
+        **routing,
+    )
 
 
 @dataclass

@@ -3,9 +3,9 @@
 The fleet-mode acceptance scenario for ``repro.durability``: a
 composition is cut down halfway by ``kill_shard`` (the shard's
 directory and registry vanish from the fleet), ``recover_shard``
-rebuilds the slice from its WAL, the session's handle is migrated to
-the fresh slice, and the composition completes with every provider
-effect applied exactly once.
+rebuilds the shard platform from its WAL, the session's handle is
+migrated to the fresh shard, and the composition completes with every
+provider effect applied exactly once.
 """
 
 import pytest
@@ -28,7 +28,7 @@ def rig(tmp_path):
     calls = {}
     platform = Platform(PlatformConfig(
         seed=5,
-        fleet=FleetConfig(shards=2, parallel=False),
+        fleet=FleetConfig(shards=2),
         durability=DurabilityConfig(dir=str(tmp_path), fsync="always"),
     ))
     workload = make_chain_workload(tasks=3, seed=9,
@@ -63,10 +63,8 @@ class TestKillRecover:
         session = platform.session("user", "laptop")
         handle = session.submit(deployment, "run", {})
 
-        home_slice = platform.fleet.shard(home)
-        platform.fleet.scheduler.pump_shard(
-            home_slice, until=home_slice.transport.now_ms() + 20.0
-        )
+        home_shard = platform.fleet.shards[home]
+        home_shard.transport.simulator.run(until=home_shard.now_ms() + 20.0)
         assert not handle.done()
         assert calls  # partway through the chain
 
@@ -85,7 +83,7 @@ class TestKillRecover:
         assert all(count == 1 for count in calls.values()), calls
         counters = {
             a.service.name: (a.completed, a.faulted)
-            for a in platform.fleet.shard(home).kernel.actors()
+            for a in platform.fleet.shards[home].kernel.actors()
             if type(a).__name__ == "ServiceWrapperRuntime"
         }
         assert all(c == (1, 0) for c in counters.values()), counters
@@ -126,10 +124,7 @@ class TestKillRecover:
     def test_surviving_shard_keeps_serving_during_the_outage(self, rig):
         platform, deployment, _ = rig
         home = platform.fleet.directory.shard_of(COMPOSITE)
-        other = next(
-            s.shard_id for s in platform.fleet.shards
-            if s.shard_id != home
-        )
+        other = next(s for s in platform.fleet.shards if s != home)
         # A second, independent chain homed on the surviving shard.
         workload = make_chain_workload(
             tasks=2, seed=31, service_latency_ms=5.0,
@@ -179,7 +174,7 @@ def _run_fleet_counted(scenario, durability_dir=None, kill=False):
     calls = {}
     platform = Platform(PlatformConfig(
         seed=7,
-        fleet=FleetConfig(shards=2, parallel=False),
+        fleet=FleetConfig(shards=2),
         durability=(
             DurabilityConfig(dir=str(durability_dir), fsync="always")
             if durability_dir is not None else None
@@ -215,10 +210,8 @@ def _run_fleet_counted(scenario, durability_dir=None, kill=False):
     ]
     if kill:
         home = platform.fleet.directory.shard_of(affinity)
-        home_slice = platform.fleet.shard(home)
-        platform.fleet.scheduler.pump_shard(
-            home_slice, until=home_slice.transport.now_ms() + 15.0
-        )
+        home_shard = platform.fleet.shards[home]
+        home_shard.transport.simulator.run(until=home_shard.now_ms() + 15.0)
         lost = platform.fleet.kill_shard(home)
         assert lost == 0  # fsync="always" loses nothing
         report = platform.fleet.recover_shard(home)

@@ -14,7 +14,6 @@ from repro.api import Platform, PlatformConfig
 from repro.exceptions import DeploymentError, DiscoveryError, SelfServError
 from repro.fleet import FleetConfig, FleetDirectory, ShardMap
 from repro.resilience import ResilienceConfig
-from repro.runtime.directory import ServiceDirectory
 from repro.services.description import simple_description
 from repro.services.elementary import ElementaryService
 from repro.services.profile import ServiceProfile
@@ -31,21 +30,24 @@ def make_service(name: str) -> ElementaryService:
 
 def fleet_platform(shards: int = 3) -> Platform:
     return Platform(PlatformConfig(
-        fleet=FleetConfig(shards=shards, parallel=False)
+        fleet=FleetConfig(shards=shards)
     ))
 
 
 class TestFleetDirectoryUnit:
     def setup_method(self):
         self.shard_map = ShardMap(3)
-        self.directories = [ServiceDirectory() for _ in range(3)]
-        self.fleet_dir = FleetDirectory(self.shard_map, self.directories)
+        self.shards = {
+            shard_id: Platform(PlatformConfig(trace=False))
+            for shard_id in self.shard_map.shard_ids
+        }
+        self.fleet_dir = FleetDirectory(self.shard_map, self.shards)
 
     def test_register_defaults_to_home_shard(self):
         landed = self.fleet_dir.register("Alpha", "host-a")
         assert landed == self.shard_map.shard_for("Alpha")
         assert self.fleet_dir.shard_of("Alpha") == landed
-        assert self.directories[landed].knows("Alpha")
+        assert self.shards[landed].directory.knows("Alpha")
 
     def test_register_with_explicit_shard_and_fanout_lookup(self):
         home = self.shard_map.shard_for("Beta")
@@ -79,7 +81,7 @@ class TestFleetDirectoryUnit:
 
     def test_mismatched_shard_and_directory_counts_raise(self):
         with pytest.raises(ValueError):
-            FleetDirectory(ShardMap(2), [ServiceDirectory()])
+            FleetDirectory(ShardMap(2), {0: Platform()})
 
 
 class TestFleetDiscovery:
@@ -95,10 +97,7 @@ class TestFleetDiscovery:
         platform = fleet_platform()
         service = make_service("Wanderer")
         home = platform.fleet.shard_map.shard_for("Wanderer")
-        elsewhere = next(
-            s.shard_id for s in platform.fleet.shards
-            if s.shard_id != home
-        )
+        elsewhere = next(s for s in platform.fleet.shards if s != home)
         platform.deployer.deploy_elementary(
             service, "far-host", shard=elsewhere
         )
@@ -147,10 +146,8 @@ class TestFleetDiscovery:
         platform = fleet_platform()
         platform.register_elementary(make_service("Stable"), "host-s")
         platform.locate("Stable")
-        other = next(
-            s.shard_id for s in platform.fleet.shards
-            if s.shard_id != platform.fleet.directory.shard_of("Stable")
-        )
+        home = platform.fleet.directory.shard_of("Stable")
+        other = next(s for s in platform.fleet.shards if s != home)
         platform.directory.register("Noise", "host-n", shard=other)
         cache = platform.discovery.locate_cache
         stale_before = cache.stats.stale
@@ -183,10 +180,7 @@ class TestFleetDiscovery:
         platform = fleet_platform()
         service = make_service("Detail")
         home = platform.fleet.shard_map.shard_for("Detail")
-        elsewhere = next(
-            s.shard_id for s in platform.fleet.shards
-            if s.shard_id != home
-        )
+        elsewhere = next(s for s in platform.fleet.shards if s != home)
         platform.deployer.deploy_elementary(service, "d-host",
                                             shard=elsewhere)
         platform.discovery.publish(service.description)

@@ -13,10 +13,12 @@ child process and no wire event-loop thread survives any test here.
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
 from repro.exceptions import TransportError
+from repro.kernel.envelopes import ExecuteResult
 from repro.fleet.wire import WireFleet
 from repro.net.wire.node_runner import WireNodeSpec, spawn_wire_node
 
@@ -167,3 +169,41 @@ class TestDurability:
             assert fleet.submit(fleet.composites[0]).result(
                 timeout=60.0
             ).ok
+
+    def test_result_hand_back_pages_under_the_frame_limit(self, tmp_path):
+        """More finished work than one reply frame holds: the recovered
+        shard hands its results back in pages, and every call whose
+        reply died with the shard resolves from the WAL."""
+        lost = 80  # ~9 KiB of results against a 4 KiB frame limit
+        fleet = small_fleet(shards=1, durability_dir=str(tmp_path),
+                            fsync="always")
+        fleet.specs = [dataclasses.replace(spec, max_frame_bytes=4096)
+                       for spec in fleet.specs]
+        dropping = []
+        collect = fleet._collect
+
+        def drop_results(message):
+            # The shard finished the work, but the replies never reach
+            # the parent: they are lost with the shard about to die.
+            if not (dropping and message.kind == ExecuteResult.KIND):
+                collect(message)
+
+        fleet._collect = drop_results
+        with fleet:
+            assert fleet.submit(fleet.composites[0]).result(
+                timeout=60.0
+            ).ok
+            assert fleet.snapshot_shard(0).get("ok")
+            dropping.append(True)
+            calls = [fleet.submit(fleet.composites[i % 2])
+                     for i in range(lost)]
+            deadline = time.monotonic() + 60.0
+            while fleet.stats()[0]["executions"] < 1 + lost:
+                assert time.monotonic() < deadline, "shard never finished"
+                time.sleep(0.05)
+            fleet.kill_shard(0)
+            summary = fleet.recover_shard(0)
+            assert summary["recovered_results"] == lost
+            assert summary["resolved_from_wal"] == lost
+            assert summary["resubmitted"] == 0
+            assert all(call.done() and call.peek().ok for call in calls)
