@@ -441,11 +441,6 @@ class CentralOrchestrator(Actor):
 
     # Introspection -----------------------------------------------------------
 
-    def success_count(self) -> int:
-        return sum(
-            1 for e in self._executions.values() if e.status == "success"
-        )
-
     def records(self) -> "List[_CentralExecution]":
         return list(self._executions.values())
 

@@ -205,7 +205,6 @@ class Deployer:
         host: str,
         default_timeout_ms: Optional[float] = None,
         validate_charts: bool = True,
-        gc_finished_executions: bool = False,
     ) -> CompositeDeployment:
         """Generate routing tables, place and install all coordinators.
 
@@ -230,7 +229,6 @@ class Deployer:
         all_plans: Dict[str, CompiledRoutingPlan] = {}
         placed_tables: Dict[str, Dict[str, RoutingTable]] = {}
         event_targets: Dict[str, Dict[str, list]] = {}
-        coordinator_locations: Dict[str, list] = {}
 
         for operation in composite.operations():
             chart = composite.chart_for(operation)
@@ -261,10 +259,6 @@ class Deployer:
                         (node_id, table.host)
                     )
             event_targets[operation] = per_event
-            coordinator_locations[operation] = [
-                (node_id, table.host)
-                for node_id, table in placed.items()
-            ]
 
         wrapper = CompositeWrapperRuntime(
             composite=composite.name,
@@ -277,8 +271,6 @@ class Deployer:
             },
             default_timeout_ms=default_timeout_ms,
             event_targets=event_targets,
-            coordinator_locations=coordinator_locations,
-            gc_finished_executions=gc_finished_executions,
             kernel=self.kernel,
         )
         wrapper.start()
@@ -318,7 +310,6 @@ class Deployer:
             dur.journal.record_composite(composite, host, {
                 "default_timeout_ms": default_timeout_ms,
                 "validate_charts": validate_charts,
-                "gc_finished_executions": gc_finished_executions,
             })
         return deployment
 

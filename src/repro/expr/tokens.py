@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.exceptions import TokenizeError
 
@@ -230,8 +230,3 @@ def tokenize(text: str) -> List[Token]:
         raise TokenizeError(f"unexpected character {ch!r}", i)
     tokens.append(Token(TokenType.EOF, None, n))
     return tokens
-
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    """Iterate tokens lazily; convenience wrapper around :func:`tokenize`."""
-    yield from tokenize(text)

@@ -353,7 +353,6 @@ class FleetDeployer:
         host: str,
         default_timeout_ms: Optional[float] = None,
         validate_charts: bool = True,
-        gc_finished_executions: bool = False,
         shard: Optional[int] = None,
         affinity: Optional[str] = None,
     ) -> CompositeDeployment:
@@ -384,7 +383,6 @@ class FleetDeployer:
             host,
             default_timeout_ms=default_timeout_ms,
             validate_charts=validate_charts,
-            gc_finished_executions=gc_finished_executions,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

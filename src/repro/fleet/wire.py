@@ -320,7 +320,8 @@ class WireFleet:
         return self.call_control(shard_id, WIRE_PING, timeout=timeout)
 
     def stats(self, timeout: float = 10.0) -> "Dict[int, Dict[str, Any]]":
-        """Per-shard runtime stats (executions, wire counters, clock)."""
+        """Per-shard runtime stats (executions served and still live,
+        wire counters, clock)."""
         return {
             shard_id: self.call_control(shard_id, WIRE_STATS,
                                         timeout=timeout)

@@ -23,7 +23,6 @@ from repro.kernel.actor import (
 from repro.kernel.envelopes import (
     ENVELOPE_TYPES,
     Complete,
-    Discard,
     Envelope,
     Execute,
     ExecuteAck,
@@ -45,7 +44,6 @@ __all__ = [
     "ActorKernel",
     "ActorMiddleware",
     "Complete",
-    "Discard",
     "ENVELOPE_TYPES",
     "Envelope",
     "Execute",

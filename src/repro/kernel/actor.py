@@ -140,10 +140,6 @@ class ActorKernel:
         self._rebuild_hooks()
         return middleware
 
-    def remove_middleware(self, middleware: ActorMiddleware) -> None:
-        self.middleware.remove(middleware)
-        self._rebuild_hooks()
-
     def _rebuild_hooks(self) -> None:
         """Cache per-hook call lists, skipping inherited no-op hooks.
 

@@ -40,7 +40,6 @@ envelope                carried by
 :class:`Complete`       final coordinator -> composite wrapper
 :class:`ExecutionFault` any coordinator -> composite wrapper: abort
 :class:`Signal`         client/coordinator -> wrapper -> coordinators: event
-:class:`Discard`        composite wrapper -> coordinator: drop exec state
 ======================  ===================================================
 """
 
@@ -469,16 +468,6 @@ class Signal(Envelope):
     execution_id: str = ""
     event: str = ""
     payload: "Mapping[str, Any]" = field(default_factory=dict)
-
-
-@_register
-@dataclass(frozen=True)
-class Discard(Envelope):
-    """Garbage-collection broadcast: drop one execution's local state."""
-
-    KIND: ClassVar[str] = MessageKinds.DISCARD
-
-    execution_id: str = ""
 
 
 def envelope_type(kind: str) -> "Type[Envelope]":

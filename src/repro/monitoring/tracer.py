@@ -65,12 +65,6 @@ class ExecutionTimeline:
             if event.kind == MessageKinds.INVOKE
         ]
 
-    def signals_seen(self) -> "List[str]":
-        return [
-            event.detail for event in self.events
-            if event.kind == MessageKinds.SIGNAL
-        ]
-
     def hosts_touched(self) -> "List[str]":
         hosts: List[str] = []
         for event in self.events:

@@ -129,11 +129,6 @@ class Message:
         self._body = value
 
     @property
-    def body_materialised(self) -> bool:
-        """Whether the encoded dict exists yet (diagnostics/benchmarks)."""
-        return self._body is not None
-
-    @property
     def is_local(self) -> bool:
         """True when source and target live on the same node.
 

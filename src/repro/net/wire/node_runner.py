@@ -291,6 +291,20 @@ class _WireNodeRuntime:
         node.register(CONTROL_ENDPOINT, self._on_control)
         self.wire.start()
 
+    def live_executions(self) -> int:
+        """Executions that still hold state anywhere in this shard: at a
+        coordinator (:meth:`Coordinator.executions_seen`) or running at
+        a composite wrapper.  Zero once every request has resolved."""
+        return sum(
+            deployment.wrapper.running_count()
+            + sum(
+                coordinator.executions_seen()
+                for per_op in deployment.coordinators.values()
+                for coordinator in per_op.values()
+            )
+            for deployment in self.deployments.values()
+        )
+
     # Replies ----------------------------------------------------------------
 
     def reply_result(self, request: Message, request_key: str,
@@ -344,6 +358,7 @@ class _WireNodeRuntime:
                 token=token,
                 shard=self.spec.shard_id,
                 executions=self.executions,
+                live_executions=self.live_executions(),
                 composites=sorted(self.deployments),
                 virtual_now_ms=self.platform.now_ms(),
                 wire=dict(self.wire.wire_counters if self.wire else {}),

@@ -39,10 +39,6 @@ class Precondition:
     mode: FiringMode
     entries: Tuple[PreconditionEntry, ...] = ()
 
-    @property
-    def expected_sources(self) -> "frozenset[str]":
-        return frozenset(e.source_node for e in self.entries)
-
     def entry_for_edge(self, edge_id: str) -> Optional[PreconditionEntry]:
         for entry in self.entries:
             if entry.edge_id == edge_id:

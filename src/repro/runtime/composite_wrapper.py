@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.kernel.actor import Actor, ActorKernel, handles
 from repro.kernel.envelopes import (
     Complete,
-    Discard,
     Execute,
     ExecuteAck,
     ExecuteResult,
@@ -76,6 +75,12 @@ class CompositeWrapperRuntime(Actor):
     entry_host)`` of its statechart's initial coordinator, and
     ``output_specs`` to the operation's declared outputs (used to project
     the final environment into the result document).
+
+    Finishing an execution sends nothing to the coordinators: they hold
+    state only while a join is incomplete, so a successful execution
+    has already left none behind.  The wrapper's own
+    :class:`ExecutionRecord` table is still kept for every execution;
+    snapshots capture it and latency reports read it.
     """
 
     def __init__(
@@ -89,10 +94,6 @@ class CompositeWrapperRuntime(Actor):
         event_targets: Optional[
             "Dict[str, Dict[str, List[Tuple[str, str]]]]"
         ] = None,
-        coordinator_locations: Optional[
-            "Dict[str, List[Tuple[str, str]]]"
-        ] = None,
-        gc_finished_executions: bool = False,
         kernel: Optional[ActorKernel] = None,
     ) -> None:
         super().__init__(host, transport, kernel)
@@ -104,10 +105,6 @@ class CompositeWrapperRuntime(Actor):
         # whose routing tables consume that event; computed statically by
         # the deployer, like all other coordination knowledge.
         self.event_targets = dict(event_targets or {})
-        # operation -> [(node_id, host)] of every coordinator; used by
-        # the garbage-collection broadcast after an execution finishes.
-        self.coordinator_locations = dict(coordinator_locations or {})
-        self.gc_finished_executions = gc_finished_executions
         self._executions: Dict[str, ExecutionRecord] = {}
         self._counter = itertools.count(1)
 
@@ -250,26 +247,6 @@ class CompositeWrapperRuntime(Actor):
             fault=record.fault,
             request_key=record.request_key,
         ))
-        if self.gc_finished_executions:
-            self._broadcast_discard(record)
-
-    def _broadcast_discard(self, record: ExecutionRecord) -> None:
-        """Tell every coordinator to drop the finished execution's state.
-
-        Long-running deployments would otherwise accumulate per-execution
-        bookkeeping at each coordinator forever; the broadcast is opt-in
-        because it adds one message per coordinator per execution.
-        """
-        for node_id, host in self.coordinator_locations.get(
-            record.operation, []
-        ):
-            self.send(
-                host,
-                coordinator_endpoint(
-                    self.composite, record.operation, node_id
-                ),
-                Discard(execution_id=record.execution_id),
-            )
 
     # Introspection ---------------------------------------------------------------
 
@@ -281,8 +258,3 @@ class CompositeWrapperRuntime(Actor):
 
     def running_count(self) -> int:
         return sum(1 for r in self._executions.values() if not r.finished)
-
-    def success_count(self) -> int:
-        return sum(
-            1 for r in self._executions.values() if r.status == "success"
-        )

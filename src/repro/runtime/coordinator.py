@@ -7,10 +7,11 @@ collaborating with their peers to manage the service execution."
 
 A coordinator's entire runtime logic is:
 
-1. **Precondition matching** — record each incoming ``notify`` and check
+1. **Precondition matching** — check each incoming ``notify`` against
    the routing table's precondition (``ANY``: every notification triggers
-   a firing; ``ALL``: a firing triggers when every expected edge has an
-   outstanding notification, consuming one from each — the AND-join).
+   a firing; ``ALL``: notifications are counted per edge, and a firing
+   triggers when every expected edge has an outstanding one, consuming
+   one from each — the AND-join).
 2. **Invocation** — for a TASK node, evaluate the input-mapping
    expressions over the token's environment and ``invoke`` the component
    service through its wrapper; control nodes skip straight to step 3.
@@ -36,7 +37,6 @@ from repro.exceptions import ExpressionError
 from repro.kernel.actor import Actor, ActorKernel, handles
 from repro.kernel.envelopes import (
     Complete,
-    Discard,
     ExecutionFault,
     Invoke,
     InvokeResult,
@@ -56,11 +56,10 @@ from repro.statecharts.flatten import NodeKind
 
 @dataclass
 class _ExecutionState:
-    """Per-execution bookkeeping at one coordinator."""
+    """An incomplete AND-join of one execution at one coordinator."""
 
     edge_counts: Dict[str, int] = field(default_factory=dict)
     env: Dict[str, Any] = field(default_factory=dict)
-    firings: int = 0
 
 
 @dataclass
@@ -73,7 +72,28 @@ class _WaitingToken:
 
 
 class Coordinator(Actor):
-    """The runtime agent of one flat-graph node."""
+    """The runtime agent of one flat-graph node.
+
+    **State lifetime.**  A coordinator holds state for an execution
+    only while that execution has work open *here*: an AND-join with
+    some but not all of its edges arrived, an invocation awaiting its
+    result, a token parked on an ECA event, or a signal no token has
+    taken yet.  ``ANY`` firings keep nothing — they fire from the
+    token's own environment.  A join's state is dropped when it fires
+    with every edge count back to zero, a parked token when it is
+    consumed, a buffered signal when a token takes it.  So a
+    successful execution leaves nothing behind, and no clean-up
+    message exists.  What can outlive an execution that does *not*
+    succeed:
+
+    * a join whose sibling branch faulted (its edge counts wait forever);
+    * a token parked on an event that never came;
+    * a signal that no token consumed;
+    * an invoke to a host that never answers (its pending entry).
+
+    That residue is bounded by failed executions, not by executions
+    served; :meth:`executions_seen` counts it.
+    """
 
     def __init__(
         self,
@@ -145,33 +165,33 @@ class Coordinator(Actor):
 
     @handles(Notify)
     def _on_notify(self, notify: Notify, message: Message) -> None:
+        expected = self._dispatch.expected_edges
+        if self.table.precondition.mode is FiringMode.ANY or not expected:
+            # Each notification is one token: fire once per arrival,
+            # from the token's own environment, remembering nothing.
+            self._fire(notify.execution_id, dict(notify.env))
+        else:
+            self._join(notify, expected)
+
+    def _join(self, notify: Notify, expected: "Tuple[str, ...]") -> None:
+        """AND-join: fire once every expected edge has a notification.
+
+        The join's state lives only while it is incomplete: it is
+        dropped on the firing that brings every edge count back to
+        zero, and kept while surplus arrivals wait for the next one.
+        """
         execution_id = notify.execution_id
         state = self._executions.setdefault(execution_id, _ExecutionState())
         state.env.update(notify.env)
-        state.edge_counts[notify.edge_id] = (
-            state.edge_counts.get(notify.edge_id, 0) + 1
-        )
-
-        if self.table.precondition.mode is FiringMode.ANY:
-            # Each notification is one token: fire once per arrival.
-            self._fire(execution_id, dict(state.env))
-            state.firings += 1
-        else:
-            self._try_fire_join(execution_id, state)
-
-    def _try_fire_join(
-        self, execution_id: str, state: _ExecutionState
-    ) -> None:
-        expected = self._dispatch.expected_edges
-        if not expected:
-            self._fire(execution_id, dict(state.env))
-            state.firings += 1
+        counts = state.edge_counts
+        counts[notify.edge_id] = counts.get(notify.edge_id, 0) + 1
+        if not all(counts.get(edge, 0) >= 1 for edge in expected):
             return
-        if all(state.edge_counts.get(edge, 0) >= 1 for edge in expected):
-            for edge in expected:
-                state.edge_counts[edge] -= 1
-            self._fire(execution_id, dict(state.env))
-            state.firings += 1
+        for edge in expected:
+            counts[edge] -= 1
+        if not any(counts.values()):
+            del self._executions[execution_id]
+        self._fire(execution_id, dict(state.env))
 
     # Firing ------------------------------------------------------------------
 
@@ -354,9 +374,11 @@ class Coordinator(Actor):
             if fired:
                 token.consumed = True
                 consumed_any = True
-        self._waiting_tokens[execution_id] = [
-            t for t in tokens if not t.consumed
-        ]
+        remaining = [t for t in tokens if not t.consumed]
+        if remaining:
+            self._waiting_tokens[execution_id] = remaining
+        else:
+            self._waiting_tokens.pop(execution_id, None)
         return consumed_any
 
     def _replay_buffered(self, execution_id: str) -> None:
@@ -370,10 +392,6 @@ class Coordinator(Actor):
             self._buffered_signals[execution_id] = remaining
         else:
             self._buffered_signals.pop(execution_id, None)
-
-    def waiting_token_count(self, execution_id: str) -> int:
-        """Tokens parked on events for one execution (diagnostics)."""
-        return len(self._waiting_tokens.get(execution_id, []))
 
     def _row_matches(
         self, row: PostprocessingRow, env: "Dict[str, Any]"
@@ -433,17 +451,11 @@ class Coordinator(Actor):
     # Diagnostics -----------------------------------------------------------------
 
     def executions_seen(self) -> int:
-        return len(self._executions)
-
-    @handles(Discard)
-    def _on_discard(self, discard: Discard, message: Message) -> None:
-        self.discard_execution(discard.execution_id)
-
-    def discard_execution(self, execution_id: str) -> None:
-        """Drop per-execution state (wrapper-driven garbage collection)."""
-        self._executions.pop(execution_id, None)
-        self._waiting_tokens.pop(execution_id, None)
-        self._buffered_signals.pop(execution_id, None)
+        """Executions this coordinator still holds any state for."""
+        live = set(self._executions)
+        live.update(self._waiting_tokens, self._buffered_signals)
+        live.update(eid for eid, _ in self._pending_invocations.values())
+        return len(live)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

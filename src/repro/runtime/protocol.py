@@ -41,7 +41,6 @@ class MessageKinds:
     EXECUTION_FAULT = "execution_fault"
     EXECUTE_ACK = "execute_ack"
     SIGNAL = "signal"
-    DISCARD = "discard"
 
 
 #: Synthetic edge id used by the composite wrapper to seed the entry

@@ -197,10 +197,6 @@ class GeneratedScenario:
     def community_count(self) -> int:
         return sum(1 for slot in self.slots if slot.is_community)
 
-    @property
-    def member_count(self) -> int:
-        return sum(len(slot.members) for slot in self.slots)
-
     def logical_of(self) -> "Dict[str, str]":
         """Deployed provider name -> logical slot name (communities fold)."""
         mapping: Dict[str, str] = {}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 
 @dataclass
@@ -54,9 +54,6 @@ class ExecutionHistory:
             found = ServiceStats()
             self._stats[service] = found
         return found
-
-    def known_services(self) -> "Tuple[str, ...]":
-        return tuple(self._stats.keys())
 
     # Recording ------------------------------------------------------------
 

@@ -104,11 +104,6 @@ class ServiceCommunity:
         """
         self._membership_listeners.append(callback)
 
-    def remove_membership_listener(
-        self, callback: "Callable[[], None]"
-    ) -> None:
-        self._membership_listeners.remove(callback)
-
     def _membership_changed(self) -> None:
         self.membership_generation += 1
         for callback in list(self._membership_listeners):

@@ -175,9 +175,6 @@ class FlatGraph:
             )
         return initials[0]
 
-    def final_nodes(self) -> "List[FlatNode]":
-        return [n for n in self._nodes.values() if n.kind is NodeKind.FINAL]
-
     def task_nodes(self) -> "List[FlatNode]":
         return [n for n in self._nodes.values() if n.kind is NodeKind.TASK]
 

@@ -24,7 +24,7 @@ def make_service(name):
     return service
 
 
-def deploy_chain(env, gc=False):
+def deploy_chain(env):
     env.deployer.deploy_elementary(make_service("A"), "ha")
     env.deployer.deploy_elementary(make_service("B"), "hb")
     composite = CompositeService(ServiceDescription("C"))
@@ -32,9 +32,7 @@ def deploy_chain(env, gc=False):
         OperationSpec("run"),
         linear_chart("c", [("a", "A", "op"), ("b", "B", "op")]),
     )
-    return env.deployer.deploy_composite(
-        composite, "c-host", gc_finished_executions=gc,
-    )
+    return env.deployer.deploy_composite(composite, "c-host")
 
 
 class TestFileStore:
@@ -105,29 +103,28 @@ class TestFileStore:
 
 
 class TestExecutionGc:
+    """A finished execution leaves no coordinator state, with no
+    clean-up message: coordinators keep state only while work is open."""
+
     def test_gc_broadcast_clears_coordinator_state(self, env):
-        deployment = deploy_chain(env, gc=True)
+        deployment = deploy_chain(env)
         client = env.client()
         result = client.execute(*deployment.address, "run", {})
         assert result.ok
+        sent = env.transport.stats.sent_total
         env.transport.run_until_idle()
+        assert env.transport.stats.sent_total == sent  # nothing broadcast
         coordinators = deployment.coordinators["run"]
         assert all(
             c.executions_seen() == 0 for c in coordinators.values()
         )
 
-    def test_no_gc_by_default(self, env):
-        deployment = deploy_chain(env, gc=False)
-        client = env.client()
-        client.execute(*deployment.address, "run", {})
-        env.transport.run_until_idle()
-        coordinators = deployment.coordinators["run"]
-        assert any(
-            c.executions_seen() > 0 for c in coordinators.values()
-        )
-
     def test_gc_does_not_break_subsequent_executions(self, env):
-        deployment = deploy_chain(env, gc=True)
+        deployment = deploy_chain(env)
         client = env.client()
         for _ in range(5):
             assert client.execute(*deployment.address, "run", {}).ok
+        assert all(
+            c.executions_seen() == 0
+            for c in deployment.coordinators["run"].values()
+        )

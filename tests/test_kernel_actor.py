@@ -120,7 +120,7 @@ class TestDispatchTable:
 
         k = MessageKinds
         assert set(Coordinator.dispatch_table) == {
-            k.NOTIFY, k.INVOKE_RESULT, k.SIGNAL, k.DISCARD,
+            k.NOTIFY, k.INVOKE_RESULT, k.SIGNAL,
         }
         assert set(ServiceWrapperRuntime.dispatch_table) == {k.INVOKE}
         assert set(CommunityWrapperRuntime.dispatch_table) == {

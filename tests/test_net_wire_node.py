@@ -97,6 +97,18 @@ class TestFleet:
                 assert body["wire"]["framing_errors"] == 0
                 assert body["wire"]["codec_errors"] == 0
 
+    def test_resolved_burst_leaves_no_live_executions(self):
+        """Across the process boundary: once a burst has resolved, no
+        coordinator or composite wrapper in the shard holds state for
+        any of its executions."""
+        with small_fleet(shards=1) as fleet:
+            calls = [fleet.submit(name)
+                     for name in fleet.composites for _ in range(20)]
+            assert all(c.result(timeout=60.0).ok for c in calls)
+            body = fleet.stats()[0]
+            assert body["executions"] == len(calls)
+            assert body["live_executions"] == 0
+
     def test_unknown_composite_rejected(self):
         with small_fleet(shards=1) as fleet:
             with pytest.raises(TransportError, match="unknown composite"):
