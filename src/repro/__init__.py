@@ -57,7 +57,6 @@ from repro.kernel import Actor, ActorKernel
 from repro.monitoring import ExecutionTracer
 from repro.perf import PerfConfig
 from repro.resilience import HedgePolicy, ResilienceConfig, RetryPolicy
-from repro.net.inproc import InProcTransport
 from repro.net.simnet import SimTransport
 from repro.runtime.client import RuntimeClient
 from repro.services.community import ServiceCommunity
@@ -90,7 +89,6 @@ __all__ = [
     "CompositeService",
     "ElementaryService",
     "ExecutionTracer",
-    "InProcTransport",
     "SelfServError",
     "ServiceCommunity",
     "SimTransport",

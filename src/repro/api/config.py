@@ -20,7 +20,6 @@ from repro.deployment.placement import (
 )
 from repro.exceptions import SelfServError
 from repro.expr import FunctionRegistry
-from repro.net.inproc import InProcTransport
 from repro.net.latency import LatencyModel
 from repro.net.simnet import SimTransport
 from repro.net.transport import Transport
@@ -33,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fleet.config import FleetConfig
 
 #: Transport registry names accepted by :attr:`PlatformConfig.transport`.
-TRANSPORTS = ("sim", "inproc", "wire")
+TRANSPORTS = ("sim", "wire")
 
 #: Placement registry names accepted by :attr:`PlatformConfig.placement`.
 PLACEMENTS = {
@@ -47,12 +46,12 @@ class PlatformConfig:
     """Everything a :class:`~repro.api.platform.Platform` is built from.
 
     The defaults give the deterministic simulated environment used
-    throughout the tests and benchmarks; pass ``transport="inproc"`` for
-    real threads, or a pre-built :class:`Transport` instance for full
-    control.
+    throughout the tests and benchmarks; pass ``transport="wire"`` for
+    a real clock and real sockets, or a pre-built :class:`Transport`
+    instance for full control.
     """
 
-    #: ``"sim"``, ``"inproc"``, ``"wire"`` (real TCP sockets, see
+    #: ``"sim"``, ``"wire"`` (real TCP sockets, see
     #: :mod:`repro.net.wire`) or a ready :class:`Transport` instance.
     transport: "Union[str, Transport]" = "sim"
     #: Seed of the simulated transport's random streams (latency, loss).
@@ -130,8 +129,9 @@ class PlatformConfig:
         if self.seed != 0:
             ignored.append("seed")
         # Coalescing windows need a clock to hold messages against; the
-        # threaded transport only drain-batches (perf.batch_max_messages)
-        # and a pre-built instance is configured directly.
+        # wire transport only batches what one loop turn already holds
+        # (perf.batch_max_messages) and a pre-built instance is
+        # configured directly.
         if self.perf.batch_window_ms != 0.0:
             ignored.append("perf.batch_window_ms")
         if ignored:
@@ -155,12 +155,6 @@ class PlatformConfig:
                 batch_window_ms=self.perf.batch_window_ms,
                 batch_max=self.perf.batch_max_messages,
             )
-        if self.transport == "inproc":
-            self._check_sim_only_fields()
-            # Queue-drain batching has no window to wait for — already
-            # queued messages are simply drained together — so it is
-            # governed by the cap alone.
-            return InProcTransport(batch_max=self.perf.batch_max_messages)
         if self.transport == "wire":
             self._check_sim_only_fields()
             # Imported lazily: the wire package layers on the kernel

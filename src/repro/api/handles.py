@@ -281,7 +281,7 @@ class Session:
         attempt, so session bookkeeping — and the handle's
         ``execution_id``/``signal``/``trace`` correlation — follow the
         request that can still answer.  The key assignment happens
-        under the in-flight lock: on the threaded transport a retarget
+        under the in-flight lock: on the wire transport a retarget
         can race ``submit``'s own registration, and both sides must
         agree on which key the handle lives under.
         """

@@ -414,7 +414,7 @@ class WireFleet:
 
     def _collect(self, message: Message) -> None:
         """Frontend endpoint: results resolve calls, control replies
-        wake their waiters (runs on the frontend dispatcher thread)."""
+        wake their waiters (runs on the frontend's wire-loop thread)."""
         if message.kind == ExecuteResult.KIND:
             envelope = message.envelope
             if not isinstance(envelope, ExecuteResult):

@@ -7,7 +7,7 @@ reported through the middleware chain), run the middleware hooks, then
 dispatch to the handler the actor's verb table names.  Because the
 pipeline lives here and not in each actor, the exact same actor code
 runs unchanged on :class:`~repro.net.simnet.SimTransport` and
-:class:`~repro.net.inproc.InProcTransport`; per-coordinator *decision*
+:class:`~repro.net.wire.WireTransport`; per-coordinator *decision*
 structures (the PR 3 :class:`~repro.perf.CoordinatorDispatch` fast path)
 remain a dispatch strategy plugged in beneath the handler, untouched by
 this layer.

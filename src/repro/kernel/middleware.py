@@ -98,10 +98,10 @@ class KernelCounters(ActorMiddleware):
         # failed to decode.
         self.malformed_detail: "Dict[Tuple[str, str, str], int]" = {}
         # One kernel's counters are shared by every actor on it.  On a
-        # transport with concurrent delivery (one dispatcher thread per
-        # node), two nodes' increments race — a plain dict
-        # read-modify-write is not atomic — so those kernels pass
-        # ``thread_safe=True``.  The simulator dispatches on one thread
+        # transport with concurrent delivery (the wire loop thread
+        # handles while caller threads send through ``on_send``), the
+        # increments race — a plain dict read-modify-write is not
+        # atomic — so those kernels pass ``thread_safe=True``.  The simulator dispatches on one thread
         # and skips the lock entirely (it is on the firing hot path).
         self._lock = threading.Lock() if thread_safe else None
 

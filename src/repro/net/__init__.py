@@ -8,14 +8,15 @@ A *transport* carries :class:`Message` objects between endpoints:
 * :class:`~repro.net.simnet.SimTransport` — runs on the discrete-event
   simulator with configurable latency models, message loss and host
   failure injection.  Deterministic; used by all benchmarks.
-* :class:`~repro.net.inproc.InProcTransport` — real threads and queues,
-  one dispatcher thread per node.  Exercises the same runtime code with
-  genuine concurrency; used by concurrency tests.
+* :class:`~repro.net.wire.WireTransport` — the real clock: asyncio TCP
+  sockets between processes, with one event-loop thread per process
+  delivering to its local nodes.  Runs the same runtime code against
+  genuine concurrency and real peers.
 
 Both collect :class:`TrafficStats`, the raw material of the paper's
 message-load claims, and both support delivery batching (``repro.perf``):
 coalesced delivery windows on the simulated transport
-(``batch_window_ms``), queue-drain batching on the threaded one
+(``batch_window_ms``), the event loop's per-turn window on the wire one
 (``batch_max``), measured by ``stats.batch_efficiency()`` and
 ``stats.wire_arrivals()``.
 """
@@ -31,12 +32,10 @@ from repro.net.node import Endpoint, Node
 from repro.net.stats import TrafficStats
 from repro.net.transport import Transport
 from repro.net.simnet import SimTransport
-from repro.net.inproc import InProcTransport
 
 __all__ = [
     "Endpoint",
     "FixedLatency",
-    "InProcTransport",
     "LatencyModel",
     "Message",
     "Node",

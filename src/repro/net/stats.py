@@ -56,6 +56,12 @@ class TrafficStats:
     def record_dropped(self, message: Message) -> None:
         self.dropped_total += 1
 
+    def record_handler_error(self, message: Message) -> None:
+        """A delivered message whose handler raised counts as dropped."""
+        self.delivered_total -= 1
+        self.received_by_node[message.target] -= 1
+        self.dropped_total += 1
+
     def record_batch_flush(self, message_count: int) -> None:
         """One coalesced delivery event carrying ``message_count`` messages."""
         self.batch_flushes += 1

@@ -1,8 +1,8 @@
-"""Abstract transport interface shared by the simulated and threaded nets.
+"""Abstract transport interface shared by the simulated and wire nets.
 
 The runtime layer is written against this interface only, so the exact
 same coordinator/wrapper code runs on the deterministic simulator and on
-real threads — a key design constraint: the P2P protocol must not depend
+real sockets — a key design constraint: the P2P protocol must not depend
 on timing properties a simulator can't honour.
 """
 
@@ -12,14 +12,14 @@ from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import TransportError
 from repro.net.message import Message
-from repro.net.node import Node
+from repro.net.node import Endpoint, Node
 from repro.net.stats import TrafficStats
 
 
 class Transport:
     """Base transport: node registry, failure injection, statistics."""
 
-    #: Whether message handlers may run on multiple threads at once.
+    #: Whether handlers can race other threads that use the transport.
     #: Consumers that keep shared mutable state (e.g. the kernel's
     #: counters middleware) synchronise only when this is True.
     concurrent_delivery = False
@@ -112,7 +112,7 @@ class Transport:
         """Block (or simulate) until ``predicate()`` holds.
 
         Returns whether the predicate held before the timeout.  The
-        simulated transport advances virtual time; the threaded transport
+        simulated transport advances virtual time; the wire transport
         polls wall-clock time.  This is the only blocking primitive the
         client layer uses, which keeps client code transport-agnostic.
         """
@@ -193,4 +193,8 @@ class Transport:
             else:
                 for msg in run:
                     stats.record_delivered(msg)
-            target.endpoint(endpoint_name).deliver_batch(run)
+            self._hand_over(target.endpoint(endpoint_name), run)
+
+    def _hand_over(self, endpoint: Endpoint, run: "List[Message]") -> None:
+        """Give one run to its endpoint; handler exceptions propagate."""
+        endpoint.deliver_batch(run)

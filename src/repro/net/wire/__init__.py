@@ -1,8 +1,9 @@
 """Real socket transport (``repro.net.wire``).
 
-Everything before this package exchanged kernel envelopes inside one
-process — the deterministic simulator or the threaded in-proc queues.
-This package puts the same envelopes on real TCP sockets:
+The deterministic simulator exchanges kernel envelopes inside one
+process on a virtual clock.  This package is the real clock: the same
+envelopes on real TCP sockets, delivered by one event-loop thread per
+process:
 
 * :mod:`~repro.net.wire.frames` — length-prefixed, CRC-checked frame
   boundary (the WAL segment format's idiom applied to a byte stream),

@@ -363,6 +363,7 @@ class _WireNodeRuntime:
                 virtual_now_ms=self.platform.now_ms(),
                 wire=dict(self.wire.wire_counters if self.wire else {}),
                 recovery=self.recovery_summary,
+                threads=threading.active_count(),
             ))
         elif kind == WIRE_RESULTS:
             self._drain_recovered_results()

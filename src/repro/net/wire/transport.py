@@ -1,19 +1,18 @@
-""":class:`WireTransport` — the :class:`~repro.net.transport.Transport`
-implementation over real asyncio TCP sockets.
+""":class:`WireTransport` — the real-clock
+:class:`~repro.net.transport.Transport`, over asyncio TCP sockets.
 
-Topology model: each *process* runs one ``WireTransport``.  Nodes
-registered on it are **local** — they get the threaded in-proc
-delivery machinery (one dispatcher thread per node, queue-drain
-batching) this class inherits from
-:class:`~repro.net.inproc.InProcTransport`.  Node ids mapped through
-:meth:`register_peer` are **remote**: a send to one is encoded through
-the compiled envelope codecs, framed, and written to the peer
-process's listener by the connection manager (reconnect/backoff on the
-resilience retry schedule).  Incoming frames are decoded — every
-protocol verb is validated at the boundary — and fed into the same
-local dispatcher queues, so a drain window of socket arrivals reaches
-:meth:`~repro.kernel.mailbox.Mailbox.deliver_batch` exactly like an
-in-proc window would.
+Each *process* runs one ``WireTransport``, and its asyncio loop thread
+(``wire-loop``) is the only thread that delivers.  Nodes registered on
+it are **local**; node ids mapped through :meth:`register_peer` are
+**remote**: a send to one is encoded through the compiled envelope
+codecs, framed, and written to the peer's listener by the connection
+manager (reconnect/backoff on the resilience retry schedule).
+Incoming frames are decoded — every verb validated at the boundary —
+and join the same window as local sends; the next loop turn flushes
+it in chunks of ``batch_max``, so a burst of socket arrivals reaches
+:meth:`~repro.kernel.mailbox.Mailbox.deliver_batch` whole.  A send
+from another thread crosses onto the loop once
+(``call_soon_threadsafe``); timers are ``loop.call_later``.
 
 Reply routing is connection-oriented: when a frame from node ``S``
 arrives on connection ``c`` and ``S`` is neither local nor a
@@ -26,35 +25,45 @@ on.
 
 ``stop()`` is the clean-shutdown contract the test suite's leak
 fixture enforces: close the listener, flush and close every peer
-connection, stop the event loop and join its thread, then tear down
-the inherited dispatcher threads and timers.  Idempotent.
+connection, stop the event loop and join its thread.  Idempotent.
 """
 
 from __future__ import annotations
 
 import asyncio
-import queue as queue_module
 import random
 import threading
-from typing import Dict, List, Optional, Tuple
+import time
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import TransportError, WireCodecError
-from repro.net.inproc import _SHUTDOWN, InProcTransport, _TimerMessage
 from repro.net.message import Message
+from repro.net.node import Endpoint
+from repro.net.transport import Transport
 from repro.net.wire.codec import decode_message, encode_message
 from repro.net.wire.frames import DEFAULT_MAX_FRAME_BYTES, encode_frame
 from repro.net.wire.peers import Address, ConnectionManager, fresh_counters
 from repro.resilience.retry import RetryPolicy
 
 
-class WireTransport(InProcTransport):
+class _Run(list):
+    """A same-endpoint run that records how far its handler's ``for``
+    walked it, so a raising handler costs only one message."""
+
+    at = 0
+
+    def __iter__(self):  # type: ignore[override]
+        for self.at, message in enumerate(list.__iter__(self)):
+            yield message
+
+
+class WireTransport(Transport):
     """Transport whose remote edges are real TCP connections.
 
     ``listen_port=0`` binds an ephemeral port; read :attr:`address`
-    after :meth:`start` to learn it.  ``batch_max`` governs the local
-    dispatcher drain exactly as on the in-proc transport — and because
-    socket arrivals enter the same queues, it is also the wire-side
-    batch window.
+    after :meth:`start` to learn it.  ``batch_max`` caps one delivery
+    chunk of the loop's window.  Caller threads still send, so
+    ``concurrent_delivery`` stays True.
     """
 
     concurrent_delivery = True
@@ -68,25 +77,32 @@ class WireTransport(InProcTransport):
         reconnect: "Optional[RetryPolicy]" = None,
         reconnect_seed: int = 0,
     ) -> None:
-        super().__init__(batch_max=batch_max)
+        super().__init__()
+        if batch_max < 1:
+            raise ValueError("batch_max must be >= 1")
         self.listen_host = listen_host
         self.listen_port = listen_port
+        self.batch_max = batch_max
         self.max_frame_bytes = max_frame_bytes
         #: Wire-level counters (frames/bytes/reconnects/errors); one
         #: flat dict so tests and ledgers can snapshot it wholesale.
         self.wire_counters = fresh_counters()
         self._reconnect = reconnect
         self._reconnect_seed = reconnect_seed
+        self._epoch = time.monotonic()
         self._peers: "Dict[str, Address]" = {}
         #: node id -> live connection a frame from it last arrived on.
         self._routes: "Dict[str, asyncio.StreamWriter]" = {}
+        #: Local messages awaiting the next loop turn (loop thread only).
+        self._window: "List[Message]" = []
         self._loop: "Optional[asyncio.AbstractEventLoop]" = None
+        self._loop_ident: "Optional[int]" = None
         self._loop_thread: "Optional[threading.Thread]" = None
         self._loop_ready = threading.Event()
         self._server: "Optional[asyncio.base_events.Server]" = None
         self._manager: "Optional[ConnectionManager]" = None
         self._bound: "Optional[Tuple[str, int]]" = None
-        self._wire_started = False
+        self._started = False
         self._startup_error: "Optional[BaseException]" = None
 
     # Lifecycle --------------------------------------------------------------
@@ -101,10 +117,9 @@ class WireTransport(InProcTransport):
         return self._bound
 
     def start(self) -> None:
-        super().start()
-        if self._wire_started:
+        if self._started:
             return
-        self._wire_started = True
+        self._started = True
         self._loop_ready.clear()
         self._loop_thread = threading.Thread(
             target=self._run_loop, name="wire-loop", daemon=True
@@ -125,6 +140,7 @@ class WireTransport(InProcTransport):
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
+        self._loop_ident = threading.get_ident()
         self._manager = ConnectionManager(
             loop,
             on_payload=self._on_payload,
@@ -154,40 +170,65 @@ class WireTransport(InProcTransport):
             # Cancel stragglers so loop.close() never warns.
             for task in asyncio.all_tasks(loop):
                 task.cancel()
-            loop.run_until_complete(
-                loop.shutdown_asyncgens()
-            )
+            loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
     def stop(self, timeout: float = 5.0) -> None:
-        if self._wire_started:
-            self._wire_started = False
-            loop = self._loop
-            if loop is not None and loop.is_running():
-                done = threading.Event()
+        if not self._started:
+            return
+        self._started = False
+        loop = self._loop
+        if loop is not None and loop.is_running():
+            done = threading.Event()
 
-                async def bring_down() -> None:
-                    try:
-                        if self._server is not None:
-                            self._server.close()
-                            await self._server.wait_closed()
-                        if self._manager is not None:
-                            await self._manager.aclose()
-                    finally:
-                        done.set()
-                        loop.stop()
+            async def bring_down() -> None:
+                try:
+                    if self._server is not None:
+                        self._server.close()
+                        await self._server.wait_closed()
+                    if self._manager is not None:
+                        await self._manager.aclose()
+                finally:
+                    done.set()
+                    loop.stop()
 
-                loop.call_soon_threadsafe(loop.create_task, bring_down())
-                done.wait(timeout=timeout)
-            if self._loop_thread is not None:
-                self._loop_thread.join(timeout=timeout)
-                self._loop_thread = None
-            self._routes.clear()
-            self._server = None
-            self._manager = None
-            self._loop = None
-            self._bound = None
-        super().stop(timeout=timeout)
+            loop.call_soon_threadsafe(loop.create_task, bring_down())
+            done.wait(timeout=timeout)
+        if self._loop_thread is not None:
+            self._loop_thread.join(timeout=timeout)
+            self._loop_thread = None
+        for message in self._window:
+            self.stats.record_dropped(message)
+        self._window = []
+        self._routes.clear()
+        self._server = None
+        self._manager = None
+        self._loop = None
+        self._loop_ident = None
+        self._bound = None
+
+    def __enter__(self) -> "WireTransport":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
+
+    def _post(self, callback: "Callable[..., None]", *args: Any) -> bool:
+        """Run ``callback`` on the loop thread: inline when already
+        there, else one ``call_soon_threadsafe`` crossing.  False once
+        the loop is gone (a send racing ``stop()``)."""
+        if threading.get_ident() == self._loop_ident:
+            callback(*args)
+            return True
+        loop = self._loop
+        if loop is None:
+            return False
+        try:
+            loop.call_soon_threadsafe(callback, *args)
+        except RuntimeError:  # closed between the check and the call
+            return False
+        return True
 
     # Peer topology ----------------------------------------------------------
 
@@ -209,9 +250,8 @@ class WireTransport(InProcTransport):
         self._peers[node_id] = address
         self._routes.pop(node_id, None)
         if previous is not None and previous != address:
-            loop, manager = self._loop, self._manager
-            if loop is not None and manager is not None:
-                loop.call_soon_threadsafe(manager.forget_peer, previous)
+            if self._manager is not None:
+                self._post(self._manager.forget_peer, previous)
 
     def peers(self) -> "Dict[str, Tuple[str, int]]":
         return dict(self._peers)
@@ -219,14 +259,17 @@ class WireTransport(InProcTransport):
     # Sending ----------------------------------------------------------------
 
     def send(self, message: Message) -> None:
-        if message.target in self._nodes:
-            super().send(message)
-            return
-        if not self._wire_started:
+        if not self._started:
             raise TransportError(
                 "WireTransport.send called before start(); use it as a "
                 "context manager or call start()"
             )
+        if message.target in self._nodes:
+            if self._precheck_send(message) and not self._post(
+                self._enqueue, message
+            ):
+                self.stats.record_dropped(message)
+            return
         route = self._routes.get(message.target)
         peer = self._peers.get(message.target)
         if route is None and peer is None:
@@ -245,32 +288,106 @@ class WireTransport(InProcTransport):
         except WireCodecError:
             self.wire_counters["codec_errors"] += 1
             raise
-        loop, manager = self._loop, self._manager
-        if loop is None or manager is None:
+        if not self._post(self._write, message.target, route, frame, peer):
             self.wire_counters["frames_dropped"] += 1
-            return
-        if route is not None:
-            loop.call_soon_threadsafe(self._send_routed, message.target,
-                                      route, frame, peer)
-        else:
-            loop.call_soon_threadsafe(manager.send_to_peer, peer, frame)
 
-    def _send_routed(
+    def _write(
         self,
         node_id: str,
-        writer: "asyncio.StreamWriter",
+        writer: "Optional[asyncio.StreamWriter]",
         frame: bytes,
-        fallback_peer: "Optional[Address]",
+        peer: "Optional[Address]",
     ) -> None:
-        """Loop-thread half of a learned-route send, with peer fallback."""
+        """Loop-thread half of a remote send: the learned route first,
+        falling back to the registered peer's connection."""
         manager = self._manager
-        if manager is None:
-            return
-        if manager.send_via(writer, frame):
-            return
-        self._routes.pop(node_id, None)
-        if fallback_peer is not None:
-            manager.send_to_peer(fallback_peer, frame)
+        assert manager is not None  # set for the loop's whole life
+        if writer is not None:
+            if manager.send_via(writer, frame):
+                return
+            self._routes.pop(node_id, None)
+        if peer is not None:
+            manager.send_to_peer(peer, frame)
+
+    # Local delivery (loop thread) -------------------------------------------
+
+    def _enqueue(self, message: Message) -> None:
+        """Join the window; its first message books the next turn's flush."""
+        if not self._window:
+            assert self._loop is not None
+            self._loop.call_soon(self._flush)
+        self._window.append(message)
+
+    def _flush(self) -> None:
+        window, self._window = self._window, []
+        step = self.batch_max
+        for start in range(0, len(window), step):
+            chunk = window[start:start + step]
+            if len(chunk) > 1:
+                self.stats.record_batch_flush(len(chunk))
+            self._deliver_batch_now(chunk)
+
+    def _hand_over(self, endpoint: Endpoint, run: "List[Message]") -> None:
+        """A raising handler loses only the message it was handling: it
+        moves from delivered to dropped, the loop's exception handler
+        reports it, and the rest of its run is handed over again."""
+        run = _Run(run)
+        while run:
+            try:
+                endpoint.deliver_batch(run)
+                return
+            except Exception as exc:  # noqa: BLE001 - see docstring
+                self.stats.record_handler_error(run[run.at])
+                self._loop.call_exception_handler({  # type: ignore[union-attr]
+                    "message": f"handler {endpoint.name!r} raised",
+                    "exception": exc,
+                })
+                run = _Run(run[run.at + 1:])
+
+    # Timers and waiting -----------------------------------------------------
+
+    def schedule(
+        self, node_id: str, delay_ms: float, callback: Callable[[], None]
+    ) -> Callable[[], None]:
+        node = self.node(node_id)
+        handle: "List[asyncio.TimerHandle]" = []
+
+        def fire() -> None:
+            # The loop's exception handler reports a raising callback.
+            if node.up:
+                callback()
+
+        def arm() -> None:
+            assert self._loop is not None
+            handle.append(
+                self._loop.call_later(max(0.0, delay_ms) / 1000.0, fire)
+            )
+
+        if not self._post(arm):
+            raise TransportError("WireTransport.schedule before start()")
+        return lambda: self._post(lambda: handle and handle[0].cancel())
+
+    def now_ms(self) -> float:
+        return (time.monotonic() - self._epoch) * 1000.0
+
+    def wait_for(
+        self, predicate: Callable[[], bool], timeout_ms: Optional[float] = None
+    ) -> bool:
+        if threading.get_ident() == self._loop_ident:
+            raise TransportError(
+                "WireTransport.wait_for called on the wire-loop thread: "
+                "it delivers the messages the predicate waits for, so "
+                "the wait could never finish"
+            )
+        deadline = (
+            None if timeout_ms is None
+            else time.monotonic() + timeout_ms / 1000.0
+        )
+        while not predicate():
+            if deadline is not None and time.monotonic() >= deadline:
+                return predicate()
+            time.sleep(0.001)
+        return True
 
     # Receiving (loop thread) ------------------------------------------------
 
@@ -300,75 +417,16 @@ class WireTransport(InProcTransport):
         if source not in self._nodes and self._routes.get(source) is not writer:
             self._routes[source] = writer
             self.wire_counters["routes_learned"] += 1
-        queue = self._queues.get(message.target)
-        if queue is None or not self._started:
+        if message.target not in self._nodes:
             self.stats.record_dropped(message)
             return
-        queue.put(message)
+        self._enqueue(message)
 
     def _on_disconnect(self, writer: "asyncio.StreamWriter") -> None:
         for node_id in [
             n for n, w in self._routes.items() if w is writer
         ]:
             del self._routes[node_id]
-
-    # Local dispatch ---------------------------------------------------------
-
-    def _dispatch_loop(self, node_id: str) -> None:
-        """Queue drain with *window* delivery.
-
-        The in-proc parent drains up to ``batch_max`` queued messages
-        but still delivers them one at a time; here the drained window
-        is handed to :meth:`Transport._deliver_batch_now` so
-        same-endpoint runs reach ``Mailbox.deliver_batch`` in one call
-        — socket arrivals get the same batch-aggregated counter path
-        the simulator's coalesced windows enjoy.  Timer callbacks
-        (scheduled via ``threading.Timer`` onto the same queue to keep
-        the one-thread-per-node model) split the window.
-        """
-        q = self._queues[node_id]
-        while True:
-            item = q.get()
-            if item is _SHUTDOWN:
-                return
-            batch = [item]
-            shutdown = False
-            while len(batch) < self.batch_max:
-                try:
-                    extra = q.get_nowait()
-                except queue_module.Empty:
-                    break
-                if extra is _SHUTDOWN:
-                    shutdown = True
-                    break
-                batch.append(extra)
-            if len(batch) > 1:
-                self.stats.record_batch_flush(len(batch))
-            window: "List[Message]" = []
-            for message in batch:
-                if isinstance(message, _TimerMessage):
-                    self._flush_window(window)
-                    try:
-                        message.callback()
-                    except Exception:  # noqa: BLE001 - timer bug must
-                        # not kill the dispatcher
-                        self.stats.record_dropped(message)
-                else:
-                    window.append(message)
-            self._flush_window(window)
-            if shutdown:
-                return
-
-    def _flush_window(self, window: "List[Message]") -> None:
-        if not window:
-            return
-        try:
-            self._deliver_batch_now(list(window))
-        except Exception:  # noqa: BLE001 - a handler bug must not kill
-            # the dispatcher; errors surface as timeouts at the caller.
-            for message in window:
-                self.stats.record_dropped(message)
-        window.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         where = self._bound if self._bound else "unbound"

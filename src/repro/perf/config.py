@@ -43,8 +43,8 @@ class PerfConfig:
     #: batching (one delivery event per message, the seed behaviour).
     batch_window_ms: float = 0.0
     #: Maximum messages carried by one flush (both transports).  On the
-    #: threaded transport this is the queue-drain cap: a dispatcher
-    #: wakeup delivers up to this many already-queued messages.
+    #: wire transport this caps one delivery chunk of the event loop's
+    #: window: the messages one loop turn already holds.
     batch_max_messages: int = 64
     #: Zero-copy in-proc dispatch: a send whose target actor is started
     #: on the same :class:`~repro.kernel.ActorKernel` carries its typed

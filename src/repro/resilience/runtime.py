@@ -7,7 +7,7 @@ per-request orchestration: a :class:`ResilientCall` wraps one logical
 ``Session.submit`` and fires the primary attempt, per-attempt timeout
 timers, backoff-scheduled retries and latency-triggered hedges — all on
 the transport clock, so the whole machine is deterministic on the
-simulator and thread-safe on the threaded transport.
+simulator and thread-safe on the wire transport.
 
 The handle a caller holds is untouched by all of this: it completes
 exactly once, with the first winning (or final losing) result, and every
@@ -93,7 +93,8 @@ class ResilientCall:
     hedge timer); results, per-attempt timeouts and backoff timers then
     drive the state machine from the transport's delivery/timer paths
     until exactly one result *settles* the caller's handle.  The lock
-    covers the threaded transport, where delivery threads race timers.
+    covers the wire transport, where a caller thread's submit races the
+    loop thread's deliveries and timers.
     """
 
     def __init__(
@@ -168,7 +169,7 @@ class ResilientCall:
 
         def on_result(result: ExecutionResult) -> None:
             # Correlate by the wrapper-echoed request key, not a closure
-            # over the submit return value — on the threaded transport
+            # over the submit return value — on the wire transport
             # the reply can beat ``submit`` returning.
             self._on_result(result.request_key, result)
 

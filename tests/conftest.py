@@ -26,9 +26,10 @@ def no_leaked_wire_resources():
     """Fail any test that abandons a child process or a wire event loop.
 
     The wire transport promises clean shutdown: ``WireTransport.stop()``
-    joins its ``wire-loop`` thread and fleet teardown joins every shard
-    process.  This fixture makes that promise suite-wide and executable —
-    a leak anywhere (not just in the wire tests) fails the leaking test
+    joins its ``wire-loop`` thread — the only thread ``repro`` ever
+    starts — and fleet teardown joins every shard process.  This
+    fixture makes that promise suite-wide and executable — a leak
+    anywhere (not just in the wire tests) fails the leaking test
     instead of hanging CI at interpreter exit.  Leaked children are
     killed after being recorded so one bad test cannot poison the rest
     of the run.

@@ -11,7 +11,6 @@ from repro.deployment.placement import (
     CompositeHostPlacement,
 )
 from repro.exceptions import DiscoveryError, SelfServError
-from repro.net.inproc import InProcTransport
 from repro.net.latency import FixedLatency
 from repro.net.simnet import SimTransport
 from repro.runtime.protocol import ResolvedBinding
@@ -30,12 +29,6 @@ class TestPlatformConfig:
     def test_default_transport_is_simulated(self):
         assert isinstance(PlatformConfig().build_transport(), SimTransport)
 
-    def test_inproc_transport_by_name(self):
-        assert isinstance(
-            PlatformConfig(transport="inproc").build_transport(),
-            InProcTransport,
-        )
-
     def test_transport_instance_passes_through(self):
         transport = SimTransport()
         assert PlatformConfig(transport=transport).build_transport() \
@@ -44,6 +37,8 @@ class TestPlatformConfig:
     def test_unknown_transport_rejected(self):
         with pytest.raises(SelfServError, match="unknown transport"):
             PlatformConfig(transport="carrier-pigeon").build_transport()
+        with pytest.raises(SelfServError, match="unknown transport"):
+            PlatformConfig(transport="inproc").build_transport()
 
     def test_placement_by_name(self):
         assert isinstance(
@@ -66,12 +61,7 @@ class TestPlatformConfig:
 
     def test_simulated_constructor_rejects_other_transports(self):
         with pytest.raises(SelfServError, match="simulated transport"):
-            Platform.simulated(transport="inproc")
-
-    def test_sim_only_fields_rejected_on_inproc(self):
-        with pytest.raises(SelfServError, match="loss_rate"):
-            PlatformConfig(transport="inproc",
-                           loss_rate=0.2).build_transport()
+            Platform.simulated(transport="wire")
 
     def test_trace_disabled_leaves_no_observer(self):
         platform = Platform(PlatformConfig(trace=False))

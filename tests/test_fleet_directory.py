@@ -193,7 +193,7 @@ class TestFleetModeGuards:
     def test_fleet_requires_sim_transport(self):
         with pytest.raises(SelfServError, match="simulated transport"):
             Platform(PlatformConfig(
-                fleet=FleetConfig(shards=2), transport="inproc"
+                fleet=FleetConfig(shards=2), transport="wire"
             ))
 
     def test_fleet_rejects_prebuilt_transport(self):

@@ -1,14 +1,16 @@
-"""End-to-end execution on the threaded transport (real concurrency).
+"""End-to-end execution on the real-clock transport.
 
 The exact same runtime code that runs on the deterministic simulator must
-work with genuine threads — one dispatcher per host, wall-clock timers —
-matching the original platform's socket-listener-per-host design.
+work on :class:`WireTransport`: wall-clock timers, every host's handlers
+on one event loop, and the test thread submitting and waiting from
+outside it — the concurrency the original platform's socket listeners
+saw.
 """
 
 import pytest
 
 from repro.deployment.deployer import Deployer
-from repro.net.inproc import InProcTransport
+from repro.net.wire.transport import WireTransport
 from repro.runtime.client import RuntimeClient
 from repro.services.composite import CompositeService
 from repro.services.description import (
@@ -33,7 +35,7 @@ def make_service(name, latency_ms=1.0):
 
 @pytest.fixture
 def threaded():
-    transport = InProcTransport()
+    transport = WireTransport()
     transport.start()
     yield transport
     transport.stop()

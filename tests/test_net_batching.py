@@ -1,5 +1,5 @@
-"""Delivery batching tests: coalesced windows (sim) and queue drain
-(threaded).
+"""Delivery batching tests: coalesced windows (sim) and the event
+loop's per-turn window (wire).
 
 Batching must change *when work is delivered*, never *what* is
 delivered: every message still arrives exactly once, in arrival order,
@@ -12,10 +12,10 @@ import pytest
 
 from repro.api import Platform, PlatformConfig
 from repro.demo.travel import deploy_travel_scenario
-from repro.net.inproc import InProcTransport
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import Message
 from repro.net.simnet import SimTransport
+from repro.net.wire.transport import WireTransport
 from repro.perf import PerfConfig
 
 
@@ -148,7 +148,7 @@ class TestSimBatching:
         not a silent no-op (same contract as loss_rate/latency)."""
         from repro.api import PlatformConfig
         from repro.exceptions import SelfServError
-        config = PlatformConfig(transport="inproc",
+        config = PlatformConfig(transport="wire",
                                 perf=PerfConfig(batch_window_ms=2.0))
         with pytest.raises(SelfServError, match="batch_window_ms"):
             config.build_transport()
@@ -205,8 +205,11 @@ class TestEndToEndBatching:
 
 
 class TestInprocDrainBatching:
+    """The real-clock transport batches what one event-loop turn holds,
+    in chunks of ``batch_max``; nothing waits for a window."""
+
     def test_drain_batching_delivers_everything(self):
-        transport = InProcTransport(batch_max=16)
+        transport = WireTransport(batch_max=16)
         transport.add_node("a")
         inbox = wire(transport, "b")
         with transport:
@@ -219,4 +222,4 @@ class TestInprocDrainBatching:
 
     def test_invalid_batch_max_rejected(self):
         with pytest.raises(ValueError):
-            InProcTransport(batch_max=0)
+            WireTransport(batch_max=0)

@@ -1,4 +1,10 @@
-"""Threaded in-process transport tests (real concurrency)."""
+"""Real-clock transport tests: :class:`WireTransport` delivering to its
+local nodes on one event loop (no remote peer needed).
+
+Every delivery and timer runs on the ``wire-loop`` thread; sends from
+the test thread cross onto it once.  The socket-only behaviour lives in
+``test_net_wire_transport.py``.
+"""
 
 import threading
 import time
@@ -6,8 +12,8 @@ import time
 import pytest
 
 from repro.exceptions import TransportError
-from repro.net.inproc import InProcTransport
 from repro.net.message import Message
+from repro.net.wire.transport import WireTransport
 
 
 def send(transport, source, target, body=None, endpoint="ep"):
@@ -19,7 +25,7 @@ def send(transport, source, target, body=None, endpoint="ep"):
 
 class TestLifecycle:
     def test_send_before_start_raises(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.add_node("a")
         transport.add_node("b")
         transport.node("b").register("ep", lambda m: None)
@@ -27,7 +33,7 @@ class TestLifecycle:
             send(transport, "a", "b")
 
     def test_context_manager_starts_and_stops(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.add_node("a")
         received = threading.Event()
         transport.add_node("b").register("ep",
@@ -37,7 +43,7 @@ class TestLifecycle:
             assert received.wait(timeout=2.0)
 
     def test_node_added_after_start_works(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.add_node("a")
         with transport:
             received = threading.Event()
@@ -48,19 +54,15 @@ class TestLifecycle:
             assert received.wait(timeout=2.0)
 
     def test_stop_is_idempotent(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.start()
         transport.stop()
         transport.stop()
 
-    def test_negative_latency_scale_rejected(self):
-        with pytest.raises(ValueError):
-            InProcTransport(latency_scale=-1)
-
 
 class TestDelivery:
     def test_messages_processed_in_fifo_per_node(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.add_node("a")
         node_b = transport.add_node("b")
         seen = []
@@ -79,7 +81,8 @@ class TestDelivery:
         assert seen == list(range(20))
 
     def test_handler_exception_does_not_kill_dispatcher(self):
-        transport = InProcTransport()
+        """A raising handler does not stop the loop's deliveries."""
+        transport = WireTransport()
         transport.add_node("a")
         node_b = transport.add_node("b")
         done = threading.Event()
@@ -97,8 +100,42 @@ class TestDelivery:
             send(transport, "a", "b")
             assert done.wait(timeout=2.0)
 
+    def test_raising_handler_loses_only_its_message(self):
+        """One window: two messages to a handler that raises on its
+        first call, then one to another endpoint.  Only the raising
+        message is lost, and it is counted once, as dropped."""
+        transport = WireTransport()
+        transport.add_node("a")
+        node_b = transport.add_node("b")
+        calls, other = [], []
+
+        def flaky(message):
+            calls.append(message.body["i"])
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+
+        node_b.register("ep", flaky)
+        node_b.register("other", other.append)
+
+        def burst():
+            # Sent on the loop thread, so all three join one window.
+            send(transport, "a", "b", body={"i": 1})
+            send(transport, "a", "b", body={"i": 2})
+            send(transport, "a", "b", endpoint="other")
+
+        with transport:
+            transport.schedule("a", 0.0, burst)
+            assert transport.wait_for(lambda: len(other) == 1,
+                                      timeout_ms=2000)
+        stats = transport.stats
+        assert calls == [1, 2]
+        assert (stats.batch_flushes, stats.batched_messages) == (1, 3)
+        assert stats.dropped_total == 1
+        assert stats.delivered_total == 2
+        assert stats.sent_total == stats.delivered_total + stats.dropped_total
+
     def test_failed_node_drops(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.add_node("a")
         inbox = []
         transport.add_node("b").register("ep", inbox.append)
@@ -112,7 +149,7 @@ class TestDelivery:
 
 class TestTimers:
     def test_schedule_fires(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.add_node("a")
         fired = threading.Event()
         with transport:
@@ -120,7 +157,7 @@ class TestTimers:
             assert fired.wait(timeout=2.0)
 
     def test_cancel_prevents_firing(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.add_node("a")
         fired = threading.Event()
         with transport:
@@ -129,7 +166,7 @@ class TestTimers:
             assert not fired.wait(timeout=0.2)
 
     def test_wait_for_polls(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         transport.add_node("a")
         box = []
         with transport:
@@ -138,13 +175,32 @@ class TestTimers:
                                       timeout_ms=2000) is True
 
     def test_wait_for_times_out(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         with transport:
             assert transport.wait_for(lambda: False,
                                       timeout_ms=50) is False
 
+    def test_wait_for_on_loop_thread_raises(self):
+        """A blocking wait on the thread that delivers could never
+        finish: it is an error, not a hang."""
+        transport = WireTransport()
+        errors = []
+
+        def waiter(message):
+            try:
+                transport.wait_for(lambda: False, timeout_ms=10)
+            except TransportError as exc:
+                errors.append(exc)
+
+        transport.add_node("a").register("ep", waiter)
+        with transport:
+            send(transport, "a", "a")
+            assert transport.wait_for(lambda: bool(errors),
+                                      timeout_ms=2000)
+        assert "wire-loop" in str(errors[0])
+
     def test_now_ms_monotonic(self):
-        transport = InProcTransport()
+        transport = WireTransport()
         t1 = transport.now_ms()
         time.sleep(0.01)
         assert transport.now_ms() > t1

@@ -13,6 +13,7 @@ child process and no wire event-loop thread survives any test here.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 
 import pytest
@@ -108,6 +109,17 @@ class TestFleet:
             body = fleet.stats()[0]
             assert body["executions"] == len(calls)
             assert body["live_executions"] == 0
+
+    def test_one_delivery_thread_per_process(self):
+        """A shard process runs its main thread and ``wire-loop``, and
+        nothing else; the fleet adds only its frontend's loop to the
+        parent."""
+        before = threading.active_count()
+        with small_fleet(shards=1) as fleet:
+            assert threading.active_count() - before == 1
+            calls = [fleet.submit(name) for name in fleet.composites]
+            assert all(c.result(timeout=60.0).ok for c in calls)
+            assert fleet.stats()[0]["threads"] == 2
 
     def test_unknown_composite_rejected(self):
         with small_fleet(shards=1) as fleet:

@@ -1,6 +1,6 @@
 """WireTransport: two real transports on loopback sockets.
 
-Covers the transport contract the in-proc suite pins, plus the parts
+Covers the transport contract ``test_net_inproc.py`` pins, plus the parts
 only a socket can exercise: learned-route replies, hostile bytes on
 the listener, reconnect-with-backoff when a peer restarts, frame-drop
 accounting when a peer is gone for good, and the clean-shutdown
@@ -250,7 +250,7 @@ class TestConfigIntegration:
 
     def test_platform_runs_on_wire_transport(self):
         """The classic platform API works unchanged over the socket
-        transport (local nodes use the threaded dispatcher path)."""
+        transport (local nodes are delivered on its event loop)."""
         from repro.workload.generator import make_chain_workload
         from repro.workload.harness import composite_for_workload
 
